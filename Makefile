@@ -30,9 +30,13 @@ all: vet test build
 # pass is also the native race lane: it
 # drives the substrate conformance suite and the native preemption stress
 # sweep (GOMAXPROCS x randomized yields), so the lock-free register stack is
-# race-checked on every CI run — and the commuting engine's replay
+# race-checked on every CI run — and the commuting policy's replay
 # equivalence suite, so the batched grant path is race-checked too.
+# `go test ./...` does not descend into the nested perfbench module (the
+# repository benchmark), so ci vets and tests it on its own: an API change
+# that breaks the benchmark's build fails here rather than in a benchmark run.
 ci: fmt-check vet build test
+	cd perfbench && $(GO) vet . && $(GO) test .
 	$(GO) test -short -race -timeout 900s ./...
 	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \

@@ -161,10 +161,6 @@ type ExecConfig struct {
 	// scheduling is the hardware's, not the adversary's).
 	Commuting bool
 
-	// CommuteQuantum caps each batch member's run extension under commuting
-	// dispatch (0 = the sched default). See sched.Config.CommuteQuantum.
-	CommuteQuantum int
-
 	// ScanEpoch forces the scan layer's dirty-bit epoch retry path even under
 	// sequential dispatch (Commuting implies it). The dispatch-equivalence
 	// suite uses it to replay a commuting run's recorded schedule through the
@@ -311,15 +307,14 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 		Values:  make([]int, n),
 	}
 	runCfg := sched.Config{
-		N:              n,
-		Seed:           ec.Seed,
-		Adversary:      ec.Adversary,
-		MaxSteps:       ec.MaxSteps,
-		Sink:           sink,
-		Rendezvous:     ec.Rendezvous,
-		Commuting:      ec.Commuting,
-		CommuteQuantum: ec.CommuteQuantum,
-		OnStep:         ec.OnStep,
+		N:          n,
+		Seed:       ec.Seed,
+		Adversary:  ec.Adversary,
+		MaxSteps:   ec.MaxSteps,
+		Sink:       sink,
+		Rendezvous: ec.Rendezvous,
+		Commuting:  ec.Commuting,
+		OnStep:     ec.OnStep,
 	}
 	body := func(p *sched.Proc) {
 		v := proto.Run(p, ec.Inputs[p.ID()])

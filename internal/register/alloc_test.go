@@ -16,7 +16,7 @@ func TestRegisterOpsZeroAlloc(t *testing.T) {
 	d2w := NewDirect2W(0, 1, false)
 	bloom := NewBloom2W(0, 1, false)
 	check := func(mode string) {
-		sched.RunFree(1, 1, func(p *sched.Proc) {
+		_, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
 			if n := testing.AllocsPerRun(500, func() {
 				swmr.Write(p, 7)
 				_ = swmr.Read(p)
@@ -30,6 +30,9 @@ func TestRegisterOpsZeroAlloc(t *testing.T) {
 				t.Errorf("%s: %v allocs per register-op batch, want 0", mode, n)
 			}
 		})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", mode, err)
+		}
 	}
 
 	check("no sink")

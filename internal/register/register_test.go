@@ -266,7 +266,7 @@ func TestSWMRConcurrentReadersAtomic(t *testing.T) {
 
 func TestFreeRunningSWMRIsRaceFree(t *testing.T) {
 	reg := NewSWMR(0, 0)
-	sched.RunFree(4, 5, func(p *sched.Proc) {
+	_, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: 4, Seed: 5}, func(p *sched.Proc) {
 		for k := 0; k < 200; k++ {
 			if p.ID() == 0 {
 				reg.Write(p, k)
@@ -275,6 +275,9 @@ func TestFreeRunningSWMRIsRaceFree(t *testing.T) {
 			}
 		}
 	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 }
 
 func b2i(b bool) int {

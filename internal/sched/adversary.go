@@ -21,7 +21,7 @@ func (a *roundRobin) Next(waiting []int, _ int64) int {
 }
 
 // Eligible implements Extender: round-robin has no starvation semantics, so
-// the commuting engine may batch and extend freely.
+// the commuting policy may batch and extend freely.
 func (a *roundRobin) Eligible(int, int64) bool { return true }
 
 // NewRandom returns an adversary that picks a uniformly random waiting

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// The tests in this file prove the commuting-dispatch engine's determinism
+// The tests in this file prove the commuting grant policy's determinism
 // contract: every schedule it produces is a legal sequential grant order.
 // Concretely, recording the commuting run's grant sequence and replaying it
-// through the sequential direct-dispatch engine (a FuncAdversary that hands
-// out the recorded picks one by one) reproduces the run exactly — same grant
-// sequence, same Result accounting, same error. Batch formation itself is
-// pinned by property tests over the commutation checker.
+// under the sequential policy (a FuncAdversary that hands out the recorded
+// picks one by one) reproduces the run exactly — same grant sequence, same
+// Result accounting, same error. Batch formation itself is pinned by property
+// tests over the commutation checker.
 
 // commuteBodies are process bodies that declare register footprints the way
 // the register layer does, covering the shapes that matter for batching:
@@ -94,7 +94,7 @@ func replayAdv(seq []grantRec) Adversary {
 	})
 }
 
-// assertCommutingReplays runs cfg under the commuting engine, replays the
+// assertCommutingReplays runs cfg under the commuting policy, replays the
 // recorded grant sequence through the sequential dispatcher, and fails on any
 // observable divergence.
 func assertCommutingReplays(t *testing.T, mk func() Config, body func(*Proc)) {
@@ -207,7 +207,7 @@ func TestCommutingDeterministic(t *testing.T) {
 }
 
 // TestCommutingMatchesSequentialForNonExtender: with an adversary that does
-// not implement Extender (PCT), the commuting engine must degrade to exactly
+// not implement Extender (PCT), the commuting policy must degrade to exactly
 // the sequential dispatcher's schedule — singleton batches, an adversary
 // consult per step.
 func TestCommutingMatchesSequentialForNonExtender(t *testing.T) {
@@ -253,7 +253,7 @@ func (a *countingAdv) Eligible(pid int, step int64) bool {
 	return false
 }
 
-// TestCommutingBatchesReduceConsults pins the engine's reason to exist: with
+// TestCommutingBatchesReduceConsults pins the policy's reason to exist: with
 // disjoint footprints under an Extender adversary, the adversary is consulted
 // far less than once per step.
 func TestCommutingBatchesReduceConsults(t *testing.T) {

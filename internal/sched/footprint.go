@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// This file defines the commutation classes behind the commuting-dispatch
-// engine (see commute.go and DESIGN.md §16). Every atomic step either
+// This file defines the commutation classes behind the commuting grant
+// policy (see commute.go and DESIGN.md §16). Every atomic step either
 // declares the single shared-memory cell it is about to touch — a Footprint —
 // or stays undeclared. Two declared steps commute when they cannot observe
 // each other: they touch distinct cells, or both only read the same cell.
@@ -45,7 +45,7 @@ func Commutes(a, b Footprint) bool {
 
 // VerifyCommutingSet is the commutation-class checker: it re-validates an
 // admitted grant set against the pairwise Commutes relation and returns an
-// error naming the first conflicting pair. The commuting engine runs it on
+// error naming the first conflicting pair. The commuting policy runs it on
 // every batch it forms (O(k²), k ≤ n), so a bug in batch formation can never
 // silently admit a conflicting pair; the FuzzCommutingGrant target drives the
 // same checker over random footprint sets.
@@ -92,7 +92,7 @@ func BuildCommutingSet(leader int, candidates []int, fps []Footprint, eligible f
 }
 
 // Extender is an optional Adversary capability consulted by the commuting
-// engine. Eligible reports whether pid may receive engine-chosen grants at
+// policy. Eligible reports whether pid may receive engine-chosen grants at
 // the given global step count: admission to a commuting batch behind the
 // adversary's leader pick, and run-coalescing extensions of a granted step.
 // Adversaries whose semantics forbid granting some process (a crashed pid, a

@@ -3,7 +3,7 @@ package sched
 import "testing"
 
 // FuzzCommutingGrant drives batch formation over fuzzer-chosen footprint
-// tables and asserts the safety property the commuting engine rests on: the
+// tables and asserts the safety property the commuting policy rests on: the
 // checker never admits a pair of steps with overlapping register footprints
 // (same key with at least one write, or any undeclared non-leader step).
 func FuzzCommutingGrant(f *testing.F) {

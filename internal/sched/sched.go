@@ -10,28 +10,29 @@
 // pair, which is what the correctness and complexity experiments in this
 // repository rely on.
 //
-// Two step engines implement that contract:
+// One step engine implements that contract: the direct dispatcher.
+// Scheduling runs inside the process goroutines themselves. The goroutine
+// holding the "token" (the one process currently between a grant and its
+// next Step) decides the next grant inline at its next Step; a grant to
+// itself coalesces into a plain function return — no channel operation, no
+// goroutine park — and consecutive grants to one process execute as a run of
+// steps. A cross-process handoff is a single send on the target's one-slot
+// grant channel. The engine has two grant policies (DESIGN.md §11, §16):
 //
-//   - The direct-dispatch engine (the default): scheduling runs inside the
-//     process goroutines themselves. The goroutine holding the "token" (the
-//     one process currently between a grant and its next Step) consults the
-//     adversary inline at its next Step; when the adversary picks the token
-//     holder again the grant coalesces into a plain function return — no
-//     channel operation, no goroutine park — and consecutive grants to one
-//     process execute as a run of steps. A cross-process handoff is a single
-//     send on the target's one-slot grant channel. See DESIGN.md §11.
-//   - The legacy rendezvous engine (Config.Rendezvous, test-only): a
-//     dedicated scheduler goroutine mediates every step through an event
-//     send plus a grant send — two channel crossings per atomic step. It is
-//     retained solely so the equivalence suite can prove the two engines
-//     produce byte-identical executions, and will be deleted once the parity
-//     tests have soaked.
+//   - Sequential (the default): the adversary is consulted for every grant.
+//   - Commuting (Config.Commuting, see commute.go): the adversary's pick
+//     opens a batch of waiting processes whose declared register footprints
+//     pairwise commute, and each batch member runs up to commuteQuantum steps
+//     before the adversary is consulted again.
 //
-// The package also provides a free-running mode (see RunFree) in which Step is
-// a no-op and processes race natively as goroutines; atomicity of individual
-// register operations is then guaranteed by the register implementations
-// themselves. Free-running mode is used for smoke tests that exercise real
-// concurrency.
+// The legacy rendezvous engine (Config.Rendezvous, test-only) has a dedicated
+// scheduler goroutine mediate every step through an event send plus a grant
+// send — two channel crossings per atomic step. It stays as the equivalence
+// suites' reference: they prove the dispatcher's executions byte-identical
+// to it.
+//
+// Real concurrency, where processes race as plain goroutines and atomicity
+// rests on the register implementations, is the native Substrate (NewNative).
 package sched
 
 import (
@@ -73,7 +74,7 @@ type Proc struct {
 
 	// Pending footprint declaration for the next Step (see footprint.go).
 	// Written by DeclareRead/DeclareWrite immediately before Step and consumed
-	// by the commuting engine's gate; a step taken without a declaration has
+	// by the commuting policy's gate; a step taken without a declaration has
 	// fpKey 0 (undeclared) and is treated as conflicting with everything.
 	fpKey   int64
 	fpWrite bool
@@ -110,17 +111,17 @@ func (p *Proc) Step() {
 
 // DeclareRead declares that this process's next Step reads the register
 // identified by key (from NewFootprintKey). Register implementations call it
-// immediately before Step; the commuting engine uses the declaration to admit
-// provably-commuting steps into one batch. Under every other gate the two
-// field stores are the entire cost.
+// immediately before Step; the commuting grant policy uses the declaration to
+// admit provably-commuting steps into one batch. Under every other gate the
+// two field stores are the entire cost.
 func (p *Proc) DeclareRead(key int64) { p.fpKey, p.fpWrite = key, false }
 
 // DeclareWrite declares that this process's next Step writes the register
 // identified by key. See DeclareRead.
 func (p *Proc) DeclareWrite(key int64) { p.fpKey, p.fpWrite = key, true }
 
-// newProc builds the per-process handle; the RNG derivation is shared by both
-// engines and free-running mode so a seed reproduces identical private coins
+// newProc builds the per-process handle; the RNG derivation is shared by every
+// engine and substrate so a seed reproduces identical private coins
 // everywhere.
 func newProc(id int, seed int64, g gate) *Proc {
 	return &Proc{
@@ -174,21 +175,16 @@ type Config struct {
 	// direct-dispatch engine. The two engines produce byte-identical
 	// executions — identical grant sequences, step accounting, traces and
 	// decisions per seed. The flag exists only so the equivalence tests can
-	// prove that, and will be removed once the legacy gate is retired.
+	// prove that; the rendezvous engine stays as their reference.
 	Rendezvous bool
 
-	// Commuting selects the commuting-dispatch engine (see commute.go): each
+	// Commuting selects the commuting grant policy (see commute.go): each
 	// adversary consult opens a batch of pairwise-commuting steps and every
-	// batch member receives a quantum-bounded run before the adversary is
-	// consulted again. Executions remain sequential and deterministic, and
-	// every produced schedule replays byte-identically through the sequential
-	// dispatcher. Ignored when Rendezvous is set.
+	// batch member receives a run of up to commuteQuantum (64) steps before
+	// the adversary is consulted again. Executions remain sequential and
+	// deterministic, and every produced schedule replays byte-identically
+	// under the sequential policy. Ignored when Rendezvous is set.
 	Commuting bool
-
-	// CommuteQuantum caps the run length one batch member may coalesce under
-	// the commuting engine; <= 0 selects defaultCommuteQuantum. Only
-	// meaningful with Commuting.
-	CommuteQuantum int
 }
 
 // Result reports what happened during a run.
@@ -203,7 +199,7 @@ type Result struct {
 	// number of global steps granted to *other* processes while i was parked
 	// in Step waiting for a grant. A fairly scheduled process accumulates
 	// about (n-1) wait steps per own step; a starved one accumulates far
-	// more. Zero in free-running mode, which has no grant queue.
+	// more. Zero on the native substrate, which has no grant queue.
 	WaitSteps []int64
 
 	// Finished reports which processes ran their body to completion. A
@@ -217,24 +213,27 @@ type Result struct {
 // add. Totals are exact at run end; only mid-run scrapes can lag.
 const grantFlushBatch = 256
 
-// procSlot is one process's scheduling state in the dispatch engine, padded
-// to a cache line so per-proc accounting updates in concurrent batch workers
-// never false-share (each instance has its own slots, but instances from
-// different workers can be allocated adjacently).
+// procSlot is one process's scheduling state in the dispatcher. Only the
+// token holder touches a run's slots.
 type procSlot struct {
 	grant      chan bool     // one-slot token gate; false grant means halt
 	arrived    chan struct{} // closed when the proc reaches its first Step (or finishes without one)
 	enqueuedAt int64         // global step count when the proc last entered Step
 	perProc    int64
 	waitSteps  int64
-	_          [32]byte
 }
 
-// dispatcher implements gate for the direct-dispatch engine. All mutable
+// dispatcher is the direct-dispatch step engine. It owns everything the two
+// grant policies share: the per-process slots, serialized startup, parking,
+// per-grant bookkeeping, halt, completion and the Result. All mutable
 // scheduling state is owned by whichever goroutine holds the token; token
 // handoffs through the grant channels (and, at startup, the startPending
 // counter) provide the happens-before edges, so no lock is needed anywhere
 // on the step path.
+//
+// The dispatcher is itself the sequential policy's gate. Under
+// Config.Commuting the processes' gate is com instead, whose step captures
+// footprints and whose dispatch forms batches on top of the same engine.
 type dispatcher struct {
 	n        int
 	adv      Adversary
@@ -258,6 +257,11 @@ type dispatcher struct {
 	doneMu  sync.Mutex
 	err     error
 	badPick string // deferred adversary-misbehavior panic, rethrown by Run
+
+	// com is the commuting grant policy, nil under sequential dispatch. Only
+	// completions consult it: each policy's gate calls its own dispatch, so
+	// the sequential step path never tests it.
+	com *commuter
 }
 
 // verdict is the outcome of one dispatch: who got the token.
@@ -288,16 +292,34 @@ func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 		d.isLive[i] = true
 	}
 	d.startPending.Store(int32(cfg.N))
+	if cfg.Commuting {
+		ext, _ := adv.(Extender)
+		d.com = &commuter{
+			dispatcher: d,
+			ext:        ext,
+			fps:        make([]Footprint, cfg.N),
+			batch:      make([]int, 0, cfg.N),
+		}
+	}
 	return d
 }
 
 func (d *dispatcher) now() int64 { return d.clock.Load() }
 
-// step implements gate. The caller holds the token (it is the one process
-// running user code), so it consults the adversary for the next grant
-// directly: a self-pick coalesces into a plain return, a cross-pick hands the
-// token over with one channel send and parks.
+// step implements gate for the sequential policy. The caller holds the token
+// (it is the one process running user code), so it consults the adversary for
+// the next grant directly: a self-pick coalesces into a plain return, a
+// cross-pick hands the token over with one channel send and parks.
 func (d *dispatcher) step(p *Proc) {
+	if d.enter(p) {
+		d.await(p.id, d.dispatch(p.id))
+	}
+}
+
+// enter records that p reached a Step. It reports whether p must dispatch the
+// step's grant itself; false means p arrived during startup and has already
+// been granted its first step.
+func (d *dispatcher) enter(p *Proc) bool {
 	pid := p.id
 	d.slots[pid].enqueuedAt = d.steps
 	if p.steps == 0 {
@@ -309,12 +331,18 @@ func (d *dispatcher) step(p *Proc) {
 		close(d.slots[pid].arrived)
 		if d.startPending.Add(-1) > 0 {
 			d.park(pid)
-			return
+			return false
 		}
 	}
-	switch d.dispatch(pid) {
+	return true
+}
+
+// await acts on the token holder's dispatch verdict: keep running after a
+// self-grant, unwind after a halt, park until granted otherwise.
+func (d *dispatcher) await(pid int, v verdict) {
+	switch v {
 	case grantedSelf:
-		return // continue the run of steps without parking
+		// continue the run of steps without parking
 	case haltedRun:
 		panic(haltSignal{})
 	default:
@@ -329,25 +357,40 @@ func (d *dispatcher) park(pid int) {
 	}
 }
 
-// dispatch consults the adversary and issues one grant, reporting who got the
-// token. self is -1 when called from a completion (the finishing process
-// cannot be picked: it has already been removed from the live set).
+// dispatch is the sequential grant policy: the adversary picks every grant.
+// self is -1 when called from a completion (the finishing process cannot be
+// picked: it has already been removed from the live set).
 func (d *dispatcher) dispatch(self int) verdict {
-	if d.maxSteps > 0 && d.steps >= d.maxSteps {
+	if d.exhausted() {
 		d.halt(ErrStepBudget, self)
 		return haltedRun
 	}
 	pick := d.adv.Next(d.live, d.steps)
-	if pick == -1 {
-		d.halt(ErrStalled, self)
-		return haltedRun
-	}
 	if pick < 0 || pick >= d.n || !d.isLive[pick] {
-		d.badPick = fmt.Sprintf("sched: adversary picked pid %d not in waiting set %v", pick, d.live)
-		d.halt(ErrStalled, self)
+		d.refuse(pick, self)
 		return haltedRun
 	}
-	s := &d.slots[pick]
+	return d.issue(pick, self)
+}
+
+// exhausted reports whether the step budget is spent.
+func (d *dispatcher) exhausted() bool { return d.maxSteps > 0 && d.steps >= d.maxSteps }
+
+// refuse halts the run with ErrStalled after the adversary picked no waiting
+// process: -1 refuses them all; any other pid is a bad pick, recorded for Run
+// to rethrow.
+func (d *dispatcher) refuse(pick, self int) {
+	if pick != -1 {
+		d.badPick = fmt.Sprintf("sched: adversary picked pid %d not in waiting set %v", pick, d.live)
+	}
+	d.halt(ErrStalled, self)
+}
+
+// issue grants the next step to pid: it charges pid's wait, advances the
+// clock, counts the grant, reports it to OnStep, and hands pid the token
+// unless pid is the caller.
+func (d *dispatcher) issue(pid, self int) verdict {
+	s := &d.slots[pid]
 	s.waitSteps += d.steps - s.enqueuedAt
 	d.steps++
 	s.perProc++
@@ -359,9 +402,9 @@ func (d *dispatcher) dispatch(self int) verdict {
 		}
 	}
 	if d.onStep != nil {
-		d.onStep(pick, d.steps)
+		d.onStep(pid, d.steps)
 	}
-	if pick == self {
+	if pid == self {
 		return grantedSelf
 	}
 	s.grant <- true
@@ -390,8 +433,9 @@ func (d *dispatcher) flushGrants() {
 }
 
 // done records a completed body. A process that has taken at least one step
-// holds the token and dispatches the next grant itself; one that finished
-// before its first Step participates in startup registration instead.
+// holds the token and dispatches the next grant itself, under the run's
+// policy; one that finished before its first Step participates in startup
+// registration instead.
 func (d *dispatcher) done(p *Proc) {
 	d.doneMu.Lock()
 	defer d.doneMu.Unlock()
@@ -417,7 +461,11 @@ func (d *dispatcher) done(p *Proc) {
 		// still on their way to it: nothing to dispatch yet.
 		return
 	}
-	d.dispatch(-1)
+	if d.com != nil {
+		d.com.dispatch(-1)
+	} else {
+		d.dispatch(-1)
+	}
 }
 
 // Run executes body once per process under the configured adversarial
@@ -436,14 +484,15 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 	if adv == nil {
 		adv = NewRoundRobin()
 	}
-	if cfg.Commuting {
-		return runCommuting(cfg, adv, body)
-	}
 	d := newDispatcher(cfg, adv)
+	var g gate = d
+	if d.com != nil {
+		g = d.com
+	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.N; i++ {
-		p := newProc(i, cfg.Seed, d)
+		p := newProc(i, cfg.Seed, g)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -647,41 +696,6 @@ func runRendezvous(cfg Config, body func(*Proc)) (Result, error) {
 	}
 	wg.Wait()
 	return res, err
-}
-
-// freeGate is a no-op gate for free-running (real concurrency) mode.
-type freeGate struct{ clock atomic.Int64 }
-
-func (g *freeGate) step(*Proc) { g.clock.Add(1) }
-func (g *freeGate) now() int64 { return g.clock.Load() }
-
-// RunFree executes body once per process as plain goroutines with no
-// scheduling gate: processes race natively and atomicity relies on the
-// register implementations. It blocks until all bodies return.
-func RunFree(n int, seed int64, body func(*Proc)) Result {
-	g := &freeGate{}
-	var wg sync.WaitGroup
-	procs := make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		procs[i] = newProc(i, seed, g)
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			body(p)
-		}(procs[i])
-	}
-	wg.Wait()
-	res := Result{
-		Steps:     g.clock.Load(),
-		PerProc:   make([]int64, n),
-		WaitSteps: make([]int64, n),
-		Finished:  make([]bool, n),
-	}
-	for i, p := range procs {
-		res.PerProc[i] = p.steps
-		res.Finished[i] = true
-	}
-	return res
 }
 
 func insertSorted(s []int, v int) []int {

@@ -239,30 +239,6 @@ func TestNowAdvancesWithSteps(t *testing.T) {
 	}
 }
 
-func TestRunFreeCompletes(t *testing.T) {
-	var mu sync.Mutex
-	total := 0
-	res := RunFree(8, 17, func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Step()
-		}
-		mu.Lock()
-		total++
-		mu.Unlock()
-	})
-	if total != 8 {
-		t.Fatalf("finished bodies = %d, want 8", total)
-	}
-	if res.Steps != 800 {
-		t.Fatalf("Steps = %d, want 800", res.Steps)
-	}
-	for i, f := range res.Finished {
-		if !f {
-			t.Fatalf("process %d not finished", i)
-		}
-	}
-}
-
 // TestQuickAdversariesPreserveStepSerialization checks, over random seeds and
 // process counts, that the step scheduler serializes steps: a shared
 // non-atomic counter incremented between Step boundaries never loses updates,
@@ -289,15 +265,25 @@ func TestQuickAdversariesPreserveStepSerialization(t *testing.T) {
 }
 
 func TestAdversaryPanicsOnBadPick(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when adversary picks a non-waiting pid")
-		}
-	}()
-	_, _ = Run(Config{
-		N: 2, Seed: 1,
-		Adversary: FuncAdversary(func([]int, int64) int { return 99 }),
-	}, func(p *Proc) { p.Step() })
+	for _, tc := range []struct {
+		name      string
+		commuting bool
+	}{
+		{"sequential", false},
+		{"commuting", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic when adversary picks a non-waiting pid")
+				}
+			}()
+			_, _ = Run(Config{
+				N: 2, Seed: 1, Commuting: tc.commuting,
+				Adversary: FuncAdversary(func([]int, int64) int { return 99 }),
+			}, func(p *Proc) { p.Step() })
+		})
+	}
 }
 
 func TestInsertSortedKeepsOrder(t *testing.T) {
