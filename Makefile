@@ -38,7 +38,7 @@ all: vet test build
 ci: fmt-check vet build test
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(GO) test -short -race -timeout 900s ./...
-	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous' -benchtime 0.2s -timeout 600s . ./internal/sched/
+	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done

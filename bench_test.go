@@ -271,17 +271,29 @@ func BenchmarkWalkValue(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerStep measures the raw cost of one scheduled atomic step
-// (channel handoff round trip), the simulation's unit of time.
+// BenchmarkSchedulerStep measures the raw cost of one scheduled atomic step,
+// the simulation's unit of time, on each of the step engine's two grant
+// paths: "self" runs one process, so every grant is a self-pick that
+// coalesces into a plain return; "handoff" runs eight under round-robin, so
+// every grant moves the token to another process.
 func BenchmarkSchedulerStep(b *testing.B) {
-	b.ReportAllocs()
-	_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Step()
-		}
-	})
-	if err != nil {
-		b.Fatalf("Run: %v", err)
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"self", 1}, {"handoff", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := sched.Config{N: bc.n, Seed: 1, Adversary: sched.NewRoundRobin()}
+			res, err := sched.Run(cfg, func(p *sched.Proc) {
+				for i := p.ID(); i < b.N; i += bc.n {
+					p.Step()
+				}
+			})
+			if err != nil {
+				b.Fatalf("Run: %v", err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(res.Steps), "ns/step")
+		})
 	}
 }
 

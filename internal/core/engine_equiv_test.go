@@ -42,7 +42,7 @@ func execTraced(t *testing.T, kind Kind, seed int64, rendezvous bool) (Outcome, 
 // a process's first scheduler step (each protocol's initial round advance)
 // arrive in pid order and the comparison is a plain byte-equality check.
 func TestEnginesByteIdenticalTraces(t *testing.T) {
-	kinds := []Kind{KindBounded, KindAHUnbounded, KindExpLocal, KindStrongCoin, KindAbrahamson}
+	kinds := []Kind{KindBounded, KindAHUnbounded, KindExpLocal, KindStrongCoin, KindAbrahamson, KindAnonymous}
 	for _, kind := range kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {

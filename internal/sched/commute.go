@@ -16,7 +16,7 @@ package sched
 // and stays byte-deterministic. What the batch buys is schedule shape and
 // engine overhead: commuting runs let an O(n) scan complete without an
 // adversary-inserted writer tripping it (the scan-retry burn the profiler
-// blames for the n-scaling wall), coalesced runs replace channel handoffs
+// blames for the n-scaling wall), coalesced runs replace coroutine handoffs
 // with plain returns, and the adversary is consulted once per batch instead
 // of once per step. Because every executed schedule is a legal sequential
 // grant order, replaying its recorded grant sequence under the sequential
@@ -25,9 +25,10 @@ package sched
 //
 // Memory-model note: like the rest of the engine's state, the policy's state
 // is owned by the token holder. A parked process's last action before
-// blocking is either its own grant send (token handoff) or a startPending
-// atomic RMW (startup), both of which publish its footprint declaration to
-// later token holders, so the batch former reads fps[pid] race-free.
+// parking is its yield to Run, at a handoff or at its first Step in
+// startup; that coroutine switch, and Run's resume of the next holder,
+// publish its footprint declaration to later token holders, so the batch
+// former reads fps[pid] race-free.
 
 // commuteQuantum bounds how many consecutive steps one batch member may
 // coalesce before the token moves on. Large enough for a full scan pass plus
@@ -54,9 +55,10 @@ type commuter struct {
 func (c *commuter) step(p *Proc) {
 	c.fps[p.id] = Footprint{Key: p.fpKey, Write: p.fpWrite}
 	p.fpKey, p.fpWrite = 0, false
-	if c.enter(p) {
-		c.await(p.id, c.dispatch(p.id))
+	if c.enter(p) && c.dispatch(p.id) {
+		return
 	}
+	c.park(p.id)
 }
 
 // eligible reports whether the adversary permits engine-chosen grants to pid
@@ -81,12 +83,13 @@ func (c *commuter) extensionCommutes(self int) bool {
 
 // dispatch issues the next grant: extend the current member's run, hand the
 // token to the next admitted member, or consult the adversary for a new
-// batch. self is -1 when called from a completion. The budget is checked
-// first: once it is spent, every path halts the same way.
-func (c *commuter) dispatch(self int) verdict {
+// batch. Like the sequential dispatch, it reports whether the grant went to
+// self, which is -1 when no process is asking. The budget is checked first:
+// once it is spent, every path halts the same way.
+func (c *commuter) dispatch(self int) bool {
 	if c.exhausted() {
-		c.halt(ErrStepBudget, self)
-		return haltedRun
+		c.err = ErrStepBudget
+		return false
 	}
 	// Run extension: the current member keeps the token for up to a quantum,
 	// as long as the adversary still considers it eligible and each new
@@ -113,8 +116,8 @@ func (c *commuter) dispatch(self int) verdict {
 	// with pairwise-commuting footprints join its batch.
 	pick := c.adv.Next(c.live, c.steps)
 	if pick < 0 || pick >= c.n || !c.isLive[pick] {
-		c.refuse(pick, self)
-		return haltedRun
+		c.refuse(pick)
+		return false
 	}
 	var elig func(pid int) bool
 	if c.ext != nil {
@@ -123,8 +126,8 @@ func (c *commuter) dispatch(self int) verdict {
 	c.batch = BuildCommutingSet(pick, c.live, c.fps, elig, c.batch)
 	if err := VerifyCommutingSet(c.batch, c.fps); err != nil {
 		c.badPick = err.Error()
-		c.halt(ErrStalled, self)
-		return haltedRun
+		c.err = ErrStalled
+		return false
 	}
 	c.batchIdx = 0
 	c.runLeft = commuteQuantum - 1

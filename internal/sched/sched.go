@@ -1,29 +1,40 @@
+//go:build go1.23
+
 // Package sched provides a deterministic, adversarially scheduled execution
 // substrate for asynchronous shared-memory algorithms.
 //
 // Every atomic shared-memory action performed by a simulated process must be
 // preceded by a call to Proc.Step. Under the step scheduler, Step blocks the
-// calling goroutine until an Adversary selects that process to move; at most
+// calling process until an Adversary selects that process to move; at most
 // one process is between Step and its atomic action at any time, so the
 // interleaving of atomic actions is exactly the sequence of scheduler grants.
 // This yields fully deterministic executions for a given (seed, adversary)
 // pair, which is what the correctness and complexity experiments in this
 // repository rely on.
 //
-// One step engine implements that contract: the direct dispatcher.
-// Scheduling runs inside the process goroutines themselves. The goroutine
-// holding the "token" (the one process currently between a grant and its
-// next Step) decides the next grant inline at its next Step; a grant to
-// itself coalesces into a plain function return — no channel operation, no
-// goroutine park — and consecutive grants to one process execute as a run of
-// steps. A cross-process handoff is a single send on the target's one-slot
-// grant channel. The engine has two grant policies (DESIGN.md §11, §16):
+// One step engine implements that contract: the direct dispatcher. Run wraps
+// each process body in an iter.Pull coroutine and resumes one at a time, and
+// scheduling runs inside the bodies themselves. The process holding the
+// "token" (the one process currently between a grant and its next Step)
+// decides the next grant inline at its next Step; a grant to itself coalesces
+// into a plain function return — no coroutine switch — and consecutive
+// grants to one process execute as a run of steps. A cross-process handoff
+// records the target and yields to Run, which resumes the target: two
+// coroutine switches, with no channel operation and no trip through the Go
+// scheduler's run queue. The engine has two grant policies (DESIGN.md §11,
+// §16):
 //
 //   - Sequential (the default): the adversary is consulted for every grant.
 //   - Commuting (Config.Commuting, see commute.go): the adversary's pick
 //     opens a batch of waiting processes whose declared register footprints
 //     pairwise commute, and each batch member runs up to commuteQuantum steps
 //     before the adversary is consulted again.
+//
+// iter.Pull needs Go 1.23, but the module's go line stays at 1.22: the nested
+// perfbench module builds this one through a replace directive and says go
+// 1.22 itself, so raising the root line would break its build. This file
+// raises its own language version with the go1.23 build constraint above
+// instead; building the package needs a Go 1.23 or later toolchain.
 //
 // The legacy rendezvous engine (Config.Rendezvous, test-only) has a dedicated
 // scheduler goroutine mediate every step through an event send plus a grant
@@ -38,7 +49,9 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -57,9 +70,9 @@ var (
 	ErrStalled = errors.New("sched: execution stalled (all waiting processes crashed)")
 )
 
-// haltSignal is thrown (via panic) into a process goroutine blocked in Step
-// when the run is being torn down (budget exceeded or stall). It is recovered
-// by the goroutine wrapper inside Run and never escapes this package.
+// haltSignal is thrown (via panic) out of Step in a process parked there when
+// the run is being torn down (budget exceeded or stall). It is recovered by
+// the process wrapper inside Run and never escapes this package.
 type haltSignal struct{}
 
 // Proc is the handle a simulated process uses to interact with the scheduler.
@@ -216,20 +229,19 @@ const grantFlushBatch = 256
 // procSlot is one process's scheduling state in the dispatcher. Only the
 // token holder touches a run's slots.
 type procSlot struct {
-	grant      chan bool     // one-slot token gate; false grant means halt
-	arrived    chan struct{} // closed when the proc reaches its first Step (or finishes without one)
-	enqueuedAt int64         // global step count when the proc last entered Step
+	yield      func(struct{}) bool // parks the proc's coroutine; false means the run is torn down
+	enqueuedAt int64               // global step count when the proc last entered Step
 	perProc    int64
 	waitSteps  int64
 }
 
 // dispatcher is the direct-dispatch step engine. It owns everything the two
-// grant policies share: the per-process slots, serialized startup, parking,
-// per-grant bookkeeping, halt, completion and the Result. All mutable
-// scheduling state is owned by whichever goroutine holds the token; token
-// handoffs through the grant channels (and, at startup, the startPending
-// counter) provide the happens-before edges, so no lock is needed anywhere
-// on the step path.
+// grant policies share: the per-process slots, parking, per-grant
+// bookkeeping, halt, completion and the Result. Run resumes one process
+// coroutine at a time, so all mutable scheduling state is owned by whichever
+// process is running (the token holder) or, between two resumes, by Run; the
+// coroutine switches provide the happens-before edges, so no lock or atomic
+// is needed anywhere on the step path.
 //
 // The dispatcher is itself the sequential policy's gate. Under
 // Config.Commuting the processes' gate is com instead, whose step captures
@@ -248,30 +260,19 @@ type dispatcher struct {
 
 	steps         int64
 	grantsPending int64
-	clock         atomic.Int64
-	startPending  atomic.Int32 // procs not yet at their first Step (or done)
+	next          int // pid Run resumes when the running process yields; -1 ends the run
 
-	// doneMu serializes completions that race during startup (bodies that
-	// finish before their first Step run concurrently). Post-startup it is
-	// uncontended: only the token holder can complete.
-	doneMu  sync.Mutex
+	// err halts the run. A dispatch that sets it grants no one, so next stays
+	// -1 and Run's loop ends; Run then stops every coroutine, and each parked
+	// process unwinds via haltSignal.
 	err     error
 	badPick string // deferred adversary-misbehavior panic, rethrown by Run
 
 	// com is the commuting grant policy, nil under sequential dispatch. Only
-	// completions consult it: each policy's gate calls its own dispatch, so
+	// grantNext consults it: each policy's gate calls its own dispatch, so
 	// the sequential step path never tests it.
 	com *commuter
 }
-
-// verdict is the outcome of one dispatch: who got the token.
-type verdict uint8
-
-const (
-	grantedSelf  verdict = iota // caller keeps running, no park
-	grantedOther                // token handed off, caller parks
-	haltedRun                   // run torn down during this dispatch
-)
 
 func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 	d := &dispatcher{
@@ -284,14 +285,12 @@ func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 		live:     make([]int, cfg.N),
 		isLive:   make([]bool, cfg.N),
 		finished: make([]bool, cfg.N),
+		next:     -1,
 	}
 	for i := 0; i < cfg.N; i++ {
-		d.slots[i].grant = make(chan bool, 1)
-		d.slots[i].arrived = make(chan struct{})
 		d.live[i] = i
 		d.isLive[i] = true
 	}
-	d.startPending.Store(int32(cfg.N))
 	if cfg.Commuting {
 		ext, _ := adv.(Extender)
 		d.com = &commuter{
@@ -304,71 +303,50 @@ func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 	return d
 }
 
-func (d *dispatcher) now() int64 { return d.clock.Load() }
+func (d *dispatcher) now() int64 { return d.steps }
 
 // step implements gate for the sequential policy. The caller holds the token
 // (it is the one process running user code), so it consults the adversary for
 // the next grant directly: a self-pick coalesces into a plain return, a
-// cross-pick hands the token over with one channel send and parks.
+// cross-pick records the target and parks.
 func (d *dispatcher) step(p *Proc) {
-	if d.enter(p) {
-		d.await(p.id, d.dispatch(p.id))
+	if d.enter(p) && d.dispatch(p.id) {
+		return // self-grant: the run of steps continues without a switch
 	}
+	d.park(p.id)
 }
 
-// enter records that p reached a Step. It reports whether p must dispatch the
-// step's grant itself; false means p arrived during startup and has already
-// been granted its first step.
+// enter records that p reached a Step. It reports whether p holds the token
+// and must dispatch the step's grant itself; false means p is at its first
+// Step, still in startup, where Run makes the first dispatch once every
+// process has arrived.
 func (d *dispatcher) enter(p *Proc) bool {
-	pid := p.id
-	d.slots[pid].enqueuedAt = d.steps
-	if p.steps == 0 {
-		// First Step: register arrival. Until every process has reached its
-		// first Step (or finished without one) there is no token; the last
-		// arriver performs the run's first dispatch. The arrival signal lets
-		// Run serialize body startup so pre-Step preamble code (which may
-		// emit trace events) executes in pid order.
-		close(d.slots[pid].arrived)
-		if d.startPending.Add(-1) > 0 {
-			d.park(pid)
-			return false
-		}
-	}
-	return true
+	d.slots[p.id].enqueuedAt = d.steps
+	return p.steps > 0
 }
 
-// await acts on the token holder's dispatch verdict: keep running after a
-// self-grant, unwind after a halt, park until granted otherwise.
-func (d *dispatcher) await(pid int, v verdict) {
-	switch v {
-	case grantedSelf:
-		// continue the run of steps without parking
-	case haltedRun:
-		panic(haltSignal{})
-	default:
-		d.park(pid)
-	}
-}
-
-// park blocks until granted; a false grant tears the process down.
+// park yields to Run and returns once Run resumes this process with a grant.
+// A false yield means Run is stopping the coroutine to tear the run down: the
+// process unwinds via haltSignal.
 func (d *dispatcher) park(pid int) {
-	if ok := <-d.slots[pid].grant; !ok {
+	if !d.slots[pid].yield(struct{}{}) {
 		panic(haltSignal{})
 	}
 }
 
 // dispatch is the sequential grant policy: the adversary picks every grant.
-// self is -1 when called from a completion (the finishing process cannot be
-// picked: it has already been removed from the live set).
-func (d *dispatcher) dispatch(self int) verdict {
+// It reports whether the grant went to self, which is -1 when no process is
+// asking (the run's first grant, or one after a completion: the finishing
+// process cannot be picked, it has already left the live set).
+func (d *dispatcher) dispatch(self int) bool {
 	if d.exhausted() {
-		d.halt(ErrStepBudget, self)
-		return haltedRun
+		d.err = ErrStepBudget
+		return false
 	}
 	pick := d.adv.Next(d.live, d.steps)
 	if pick < 0 || pick >= d.n || !d.isLive[pick] {
-		d.refuse(pick, self)
-		return haltedRun
+		d.refuse(pick)
+		return false
 	}
 	return d.issue(pick, self)
 }
@@ -379,22 +357,21 @@ func (d *dispatcher) exhausted() bool { return d.maxSteps > 0 && d.steps >= d.ma
 // refuse halts the run with ErrStalled after the adversary picked no waiting
 // process: -1 refuses them all; any other pid is a bad pick, recorded for Run
 // to rethrow.
-func (d *dispatcher) refuse(pick, self int) {
+func (d *dispatcher) refuse(pick int) {
 	if pick != -1 {
 		d.badPick = fmt.Sprintf("sched: adversary picked pid %d not in waiting set %v", pick, d.live)
 	}
-	d.halt(ErrStalled, self)
+	d.err = ErrStalled
 }
 
 // issue grants the next step to pid: it charges pid's wait, advances the
-// clock, counts the grant, reports it to OnStep, and hands pid the token
-// unless pid is the caller.
-func (d *dispatcher) issue(pid, self int) verdict {
+// clock, counts the grant and reports it to OnStep. It reports whether pid is
+// the caller; otherwise it records pid as the process Run resumes next.
+func (d *dispatcher) issue(pid, self int) bool {
 	s := &d.slots[pid]
 	s.waitSteps += d.steps - s.enqueuedAt
 	d.steps++
 	s.perProc++
-	d.clock.Store(d.steps)
 	if d.sink != nil {
 		d.grantsPending++
 		if d.grantsPending >= grantFlushBatch {
@@ -405,23 +382,10 @@ func (d *dispatcher) issue(pid, self int) verdict {
 		d.onStep(pid, d.steps)
 	}
 	if pid == self {
-		return grantedSelf
+		return true
 	}
-	s.grant <- true
-	return grantedOther
-}
-
-// halt ends the run: every parked process is woken with a false grant and
-// unwinds via haltSignal. self (when >= 0) is the in-flight dispatcher; it
-// must not be woken — it learns of the halt from dispatch's verdict.
-func (d *dispatcher) halt(err error, self int) {
-	d.err = err
-	d.flushGrants()
-	for _, pid := range d.live {
-		if pid != self {
-			d.slots[pid].grant <- false
-		}
-	}
+	d.next = pid
+	return false
 }
 
 // flushGrants publishes the locally batched sched.grant count.
@@ -433,17 +397,11 @@ func (d *dispatcher) flushGrants() {
 }
 
 // done records a completed body. A process that has taken at least one step
-// holds the token and dispatches the next grant itself, under the run's
-// policy; one that finished before its first Step participates in startup
-// registration instead.
+// holds the token and dispatches the next grant itself; one that finished
+// before its first Step did so during startup, where Run makes the first
+// dispatch.
 func (d *dispatcher) done(p *Proc) {
-	d.doneMu.Lock()
-	defer d.doneMu.Unlock()
 	pid := p.id
-	if p.steps == 0 {
-		// Finished without ever calling Step: this is the proc's arrival.
-		close(d.slots[pid].arrived)
-	}
 	d.finished[pid] = true
 	d.isLive[pid] = false
 	for i, v := range d.live {
@@ -452,18 +410,20 @@ func (d *dispatcher) done(p *Proc) {
 			break
 		}
 	}
-	if len(d.live) == 0 {
-		d.flushGrants()
-		return
+	if p.steps > 0 {
+		d.grantNext()
 	}
-	if p.steps == 0 && d.startPending.Add(-1) > 0 {
-		// Finished before the first dispatch existed and other processes are
-		// still on their way to it: nothing to dispatch yet.
-		return
-	}
-	if d.com != nil {
+}
+
+// grantNext dispatches a grant no process is asking for (the run's first, or
+// the one after a completion) under the run's policy, unless every process
+// has finished.
+func (d *dispatcher) grantNext() {
+	switch {
+	case len(d.live) == 0:
+	case d.com != nil:
 		d.com.dispatch(-1)
-	} else {
+	default:
 		d.dispatch(-1)
 	}
 }
@@ -472,7 +432,9 @@ func (d *dispatcher) done(p *Proc) {
 // scheduler and blocks until every process has finished, crashed, or the step
 // budget is exhausted. It returns a Result together with ErrStepBudget or
 // ErrStalled when the run did not complete cleanly; the Result is valid in
-// all cases.
+// all cases. A panic in body is re-raised in the caller's goroutine, once
+// every process has been torn down, as a string holding the panic value, the
+// pid and the body's stack at the panic.
 func Run(cfg Config, body func(*Proc)) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("sched: invalid N=%d", cfg.N)
@@ -490,33 +452,47 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 		g = d.com
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
+	// Each body runs as a coroutine, only while Run resumes it. The deferred
+	// stops tear the run down on every exit path, including a body panic that
+	// resume re-raises here: stopping a parked coroutine makes its pending
+	// yield return false, so it unwinds via haltSignal; stopping a finished
+	// one is a no-op.
+	resume := make([]func() (struct{}, bool), cfg.N)
+	for i := range resume {
 		p := newProc(i, cfg.Seed, g)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		next, stop := iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, ok := rec.(haltSignal); !ok {
-						panic(rec) // real bug in the algorithm body: propagate
+						// Real bug in the algorithm body. Its stack dies with the
+						// coroutine, so the re-raised panic carries it.
+						panic(fmt.Sprintf("%v\n\nprocess %d panicked at:\n%s", rec, i, debug.Stack()))
 					}
 					// Halt teardown: no completion bookkeeping.
 				}
 			}()
+			d.slots[i].yield = yield
 			body(p)
 			d.done(p)
-		}()
-		// Serialized startup: wait for this body to reach its first Step (or
-		// finish without one) before launching the next. Protocol preambles
-		// run user code — and may emit trace events — before the scheduler
-		// has any token to hand out; without this barrier their interleaving
-		// would be wall-clock goroutine order and traces would not be
-		// byte-deterministic. No grant is issued until every body has
-		// arrived, so grant sequences and step counts are unchanged.
-		<-d.slots[i].arrived
+		})
+		defer stop()
+		resume[i] = next
 	}
-	wg.Wait()
+	// Serialized startup: resume the bodies in pid order, each up to its first
+	// Step (or to its end, if it never steps). Protocol preambles run user
+	// code — and may emit trace events — before the scheduler has any token
+	// to hand out; running them in pid order keeps traces byte-deterministic.
+	// No grant is issued before every body has arrived, so this order does
+	// not affect grant sequences or step counts.
+	for _, next := range resume {
+		next()
+	}
+	d.grantNext()
+	for d.next >= 0 {
+		pid := d.next
+		d.next = -1
+		resume[pid]()
+	}
 	d.flushGrants()
 	if d.badPick != "" {
 		panic(d.badPick)

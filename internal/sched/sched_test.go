@@ -2,6 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -283,6 +286,68 @@ func TestAdversaryPanicsOnBadPick(t *testing.T) {
 				Adversary: FuncAdversary(func([]int, int64) int { return 99 }),
 			}, func(p *Proc) { p.Step() })
 		})
+	}
+}
+
+// TestRunTeardownLeavesNoProcesses checks that every early end of a run tears
+// all of its processes down before Run returns, under both grant policies: a
+// step-budget halt, a stall, and a real panic in a body, which Run re-raises
+// in the caller's goroutine with the body's stack. No process goroutine may
+// outlive the run.
+func TestRunTeardownLeavesNoProcesses(t *testing.T) {
+	const bug = "body bug"
+	loop := func(p *Proc) {
+		for {
+			p.Step()
+		}
+	}
+	endings := []struct {
+		name     string
+		maxSteps int64
+		adv      func() Adversary
+		body     func(*Proc)
+		wantErr  error // nil: Run must panic with bug
+	}{
+		{"budget", 50, NewRoundRobin, loop, ErrStepBudget},
+		{"stall", 0, func() Adversary {
+			return NewCrash(NewRoundRobin(), map[int]int64{0: 20, 1: 20, 2: 20, 3: 20})
+		}, loop, ErrStalled},
+		{"panic", 0, NewRoundRobin, func(p *Proc) {
+			for {
+				p.Step()
+				if p.ID() == 2 && p.Steps() == 5 {
+					panic(bug)
+				}
+			}
+		}, nil},
+	}
+	for _, commuting := range []bool{false, true} {
+		for _, e := range endings {
+			t.Run(fmt.Sprintf("%s/commuting=%v", e.name, commuting), func(t *testing.T) {
+				cfg := Config{N: 4, Seed: 1, MaxSteps: e.maxSteps, Adversary: e.adv(), Commuting: commuting}
+				base := runtime.NumGoroutine()
+				var err error
+				rec := func() (r any) {
+					defer func() { r = recover() }()
+					_, err = Run(cfg, e.body)
+					return nil
+				}()
+				msg, _ := rec.(string)
+				switch {
+				case e.wantErr == nil && !strings.Contains(msg, bug+"\n\nprocess 2 panicked at:"):
+					t.Fatalf("Run panicked with %v, want %q from process 2", rec, bug)
+				case e.wantErr == nil && !strings.Contains(msg, "TestRunTeardownLeavesNoProcesses"):
+					t.Fatalf("re-raised panic lost the body's stack:\n%s", msg)
+				case e.wantErr != nil && rec != nil:
+					t.Fatalf("Run panicked with %v", rec)
+				case e.wantErr != nil && !errors.Is(err, e.wantErr):
+					t.Fatalf("err = %v, want %v", err, e.wantErr)
+				}
+				if got := runtime.NumGoroutine(); got > base {
+					t.Fatalf("%d goroutines after Run, %d before: a process outlived its run", got, base)
+				}
+			})
+		}
 	}
 }
 
