@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test test-race test-short bench bench-json bench-check live-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
+.PHONY: all ci build test test-race test-short bench bench-json bench-check perfbench-smoke live-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
 
 all: vet test build
 
@@ -34,9 +34,11 @@ all: vet test build
 # equivalence suite, so the batched grant path is race-checked too.
 # `go test ./...` does not descend into the nested perfbench module (the
 # repository benchmark), so ci vets and tests it on its own: an API change
-# that breaks the benchmark's build fails here rather than in a benchmark run.
+# that breaks the benchmark's build fails here rather than in a benchmark run,
+# and perfbench-smoke runs each gated workload briefly in both modes.
 ci: fmt-check vet build test
 	cd perfbench && $(GO) vet . && $(GO) test .
+	$(MAKE) perfbench-smoke
 	$(GO) test -short -race -timeout 900s ./...
 	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
@@ -89,6 +91,26 @@ bench-check:
 	$(GO) run ./cmd/consensus-load -matrix -seed 42 -json > BENCH_batch.new.json
 	$(GO) run ./cmd/benchdiff BENCH_batch.json BENCH_batch.new.json
 	@rm -f BENCH_batch.new.json
+
+# perfbench-smoke runs the repository benchmark for one second on each gated
+# workload, untraced (--trace 0) and traced (--trace 1), and fails unless every
+# run exits 0 and every fingerprint it prints is the committed seed-1
+# fingerprint below. A change that is meant to move executions updates them.
+PERFBENCH_FINGERPRINTS = seq-n8:a4e45974a14a20d6 anon-n8:fdde4ab4b3742029
+
+perfbench-smoke:
+	@for wf in $(PERFBENCH_FINGERPRINTS); do \
+		w=$${wf%%:*}; fp=$${wf#*:}; \
+		for tr in 0 1; do \
+			out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr 2>&1)" || \
+				{ echo "$$out"; echo "perfbench-smoke: $$w --trace $$tr exited non-zero"; exit 1; }; \
+			fps="$$(echo "$$out" | grep " fingerprint $$w ")"; \
+			if [ -z "$$fps" ] || echo "$$fps" | grep -qv ": $$fp$$"; then \
+				echo "$$out"; echo "perfbench-smoke: $$w --trace $$tr did not print fingerprint $$fp"; exit 1; \
+			fi; \
+			echo "perfbench-smoke: $$w --trace $$tr ok ($$fp)"; \
+		done; \
+	done
 
 live-smoke:
 	./scripts/live_smoke.sh

@@ -213,14 +213,11 @@ func BenchmarkSharedCoinFlip(b *testing.B) {
 }
 
 // BenchmarkSnapshotScan measures the arrow scannable memory's scan cost with
-// quiescent writers (the clean fast path).
+// quiescent writers (the clean fast path). The scanner runs alone, so every
+// grant is a self-pick.
 func BenchmarkSnapshotScan(b *testing.B) {
-	for _, n := range []int{4, 16} {
-		name := "n=4"
-		if n == 16 {
-			name = "n=16"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, n := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			mem := scan.NewArrow[int](n, register.DirectFactory)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -271,20 +268,35 @@ func BenchmarkWalkValue(b *testing.B) {
 	}
 }
 
+// bareSteps is a step sequence of bare steps.
+type bareSteps struct{}
+
+func (bareSteps) Op(p *sched.Proc, _ int) bool {
+	p.Step()
+	return true
+}
+
 // BenchmarkSchedulerStep measures the raw cost of one scheduled atomic step,
-// the simulation's unit of time, on each of the step engine's two grant
-// paths: "self" runs one process, so every grant is a self-pick that
-// coalesces into a plain return; "handoff" runs eight under round-robin, so
-// every grant moves the token to another process.
+// the simulation's unit of time, on each of the step engine's grant paths:
+// "self" runs one process, so every grant is a self-pick that coalesces into
+// a plain return; "handoff" runs eight under round-robin, so every grant
+// moves the token to another process; "seq" runs the same eight with each
+// process's steps as one step sequence, so every grant crosses but runs its
+// op on the granting coroutine without a switch.
 func BenchmarkSchedulerStep(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		n    int
-	}{{"self", 1}, {"handoff", 8}} {
+		seq  bool
+	}{{"self", 1, false}, {"handoff", 8, false}, {"seq", 8, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			cfg := sched.Config{N: bc.n, Seed: 1, Adversary: sched.NewRoundRobin()}
 			res, err := sched.Run(cfg, func(p *sched.Proc) {
+				if bc.seq {
+					p.StepSeq(bareSteps{}, (b.N-p.ID()+bc.n-1)/bc.n)
+					return
+				}
 				for i := p.ID(); i < b.N; i += bc.n {
 					p.Step()
 				}

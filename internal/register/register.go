@@ -8,9 +8,10 @@
 // Every register operation counts as one atomic step of the owning process:
 // implementations call Proc.Step before touching shared state, so under the
 // step scheduler (package sched) register operations serialize exactly at the
-// scheduler's grant points. A mutex guards the stored value only to keep
-// free-running mode (real goroutines) race-free; under the step scheduler it
-// is never contended.
+// scheduler's grant points. On the simulated substrate a mutex guards the
+// stored value; the step scheduler already serializes every access, so the
+// mutex is never contended and costs one uncontended Lock/Unlock pair per
+// operation.
 //
 // On the native substrate (sched.NewNative) registers switch to lock-free
 // storage instead: SetNative(true) moves the value into a cache-line-padded

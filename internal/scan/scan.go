@@ -71,6 +71,11 @@ type Memory[T any] interface {
 // writes necessarily set the scanner's arrow after it was cleared (the second
 // write's arrow-set follows the first write's value-write, which follows the
 // scanner's clear).
+//
+// A classic scan pass is two step sequences (sched.StepSeq): the arrow clears
+// plus both collects, then the arrow re-reads up to the first dirty slot. A
+// write is one: the arrow sets, then the value write. With Bloom arrows,
+// whose operations take two steps each, the same ops run in a plain loop.
 type Arrow[T any] struct {
 	n      int
 	sink   *obs.Sink
@@ -79,18 +84,17 @@ type Arrow[T any] struct {
 	vals   []*register.ToggledSWMR[T]
 	arrows [][]register.TwoWriter // arrows[i][j], i != j
 	local  []T                    // local[i]: last value written by i (owner-only access)
+	direct bool                   // every arrow is one step per operation: ops run as step sequences
 
-	// c1/c2/view[i] are pid i's double-collect and result buffers, owned by
-	// i's goroutine so a steady-state scan performs zero allocations (the
-	// returned view is reused; see Memory.Scan).
-	c1, c2 [][]register.Toggled[T]
-	view   [][]T
+	// ops[i] is pid i's scan and write state, including its double-collect
+	// and result buffers.
+	ops []arrowOps[T]
 
 	retries []pad.Int64 // per-pid scan retry counts (metrics)
 
 	// epoch selects the dirty-bit retry path (see SetEpoch / scanEpoch). The
 	// per-pid scratch below is allocated on first enable and owned by each
-	// pid's goroutine, like c1/c2.
+	// pid's goroutine; the epoch path never runs as step sequences.
 	epoch   bool
 	epTrip  [][]bool  // epTrip[i][j]: register j tripped in i's last pass
 	epArrow [][]bool  // epArrow[i][j]: arrow (i,j) observed set, needs re-clearing
@@ -105,25 +109,121 @@ func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 		vals:    make([]*register.ToggledSWMR[T], n),
 		arrows:  make([][]register.TwoWriter, n),
 		local:   make([]T, n),
-		c1:      make([][]register.Toggled[T], n),
-		c2:      make([][]register.Toggled[T], n),
-		view:    make([][]T, n),
+		ops:     make([]arrowOps[T], n),
 		retries: make([]pad.Int64, n),
+		direct:  true,
 	}
 	var zero T
 	for i := 0; i < n; i++ {
 		a.vals[i] = register.NewToggledSWMR(i, zero)
 		a.arrows[i] = make([]register.TwoWriter, n)
-		a.c1[i] = make([]register.Toggled[T], n)
-		a.c2[i] = make([]register.Toggled[T], n)
-		a.view[i] = make([]T, n)
+		a.ops[i] = arrowOps[T]{
+			a:   a,
+			i:   i,
+			v1:  make([]register.Toggled[T], n),
+			v2:  make([]register.Toggled[T], n),
+			out: make([]T, n),
+		}
 		for j := 0; j < n; j++ {
 			if i != j {
 				a.arrows[i][j] = factory(i, j, false)
+				_, one := a.arrows[i][j].(*register.Direct2W)
+				a.direct = a.direct && one
 			}
 		}
 	}
 	return a
+}
+
+// arrowOps is process i's scan and write state on an Arrow. v1/v2/out are
+// its double-collect and result buffers, so a steady-state scan performs
+// zero allocations (the returned view is reused; see Memory.Scan); the other
+// fields are what a classic pass's ops record for the process code between
+// its runs. The state belongs to i: it is used by i's body and, during an
+// inline step-sequence op of i, by the token holder's coroutine, never
+// concurrently. The three runs are the named types below.
+type arrowOps[T any] struct {
+	a             *Arrow[T]
+	i             int
+	v1, v2        []register.Toggled[T]
+	out           []T
+	firstMismatch int  // first slot whose toggles differ between the collects, or n
+	dirtyAt       int  // first dirty slot of the arrow re-read, or -1
+	dirtyArrow    bool // dirtyAt's arrow was set
+}
+
+type (
+	collectRun[T any] arrowOps[T] // clear n-1 arrows, then collect twice
+	recheckRun[T any] arrowOps[T] // re-read the arrows up to the first dirty slot
+	writeRun[T any]   arrowOps[T] // set n-1 arrows, then write the value
+)
+
+// slot maps the k-th of the n-1 other slots to its pid: k skips over i.
+func slot(k, i int) int {
+	if k >= i {
+		return k + 1
+	}
+	return k
+}
+
+// Op implements sched.Seq: ops [0, n-1) clear the arrows, [n-1, 2(n-1)) are
+// the first collect, and the rest the second collect fused with the toggle
+// comparison and the view copy. Both are register-local (no scheduler step),
+// so folding them in makes a clean scan one pass over the collect buffers.
+func (r *collectRun[T]) Op(p *sched.Proc, k int) bool {
+	a, i, m := r.a, r.i, r.a.n-1
+	switch {
+	case k < m:
+		a.arrows[i][slot(k, i)].Write(p, false)
+	case k < 2*m:
+		j := slot(k-m, i)
+		r.v1[j] = a.vals[j].Read(p)
+	default:
+		j := slot(k-2*m, i)
+		r.v2[j] = a.vals[j].Read(p)
+		r.out[j] = r.v2[j].Val
+		if r.firstMismatch == a.n && r.v1[j].Toggle != r.v2[j].Toggle {
+			r.firstMismatch = j
+		}
+	}
+	return true
+}
+
+// Op implements sched.Seq: re-read arrow k and stop at the first dirty slot
+// (set arrow or toggle mismatch), which is also the blame culprit: the arrow
+// (or toggle) was tripped by writer j's register.
+func (r *recheckRun[T]) Op(p *sched.Proc, k int) bool {
+	j := slot(k, r.i)
+	set := r.a.arrows[r.i][j].Read(p)
+	if set || j == r.firstMismatch {
+		r.dirtyAt, r.dirtyArrow = j, set
+		return false
+	}
+	return true
+}
+
+// Op implements sched.Seq: ops [0, n-1) set the arrows in every other
+// process's scanner register, op n-1 publishes the value in local[i].
+func (r *writeRun[T]) Op(p *sched.Proc, k int) bool {
+	a, i := r.a, r.i
+	if k < a.n-1 {
+		a.arrows[slot(k, i)][i].Write(p, true)
+		return true
+	}
+	a.vals[i].Write(p, a.local[i])
+	return false
+}
+
+// run performs ops 0..n-1 of s for p, stopping after an op that reports
+// false: as one step sequence when every op is one register step, else op
+// by op.
+func (a *Arrow[T]) run(p *sched.Proc, s sched.Seq, n int) {
+	if a.direct {
+		p.StepSeq(s, n)
+		return
+	}
+	for k := 0; k < n && s.Op(p, k); k++ {
+	}
 }
 
 // Reset restores the memory to its initial state (zero values, cleared
@@ -243,17 +343,12 @@ func (a *Arrow[T]) SetEpoch(on bool) {
 }
 
 // Write implements Memory: set the arrow in every other process's scanner
-// register, then publish the value. Wait-free; n atomic steps (2n with Bloom
+// register, then publish the value. Wait-free; n atomic steps (2n-1 with Bloom
 // arrow registers).
 func (a *Arrow[T]) Write(p *sched.Proc, v T) {
 	i := p.ID()
-	for j := 0; j < a.n; j++ {
-		if j != i {
-			a.arrows[j][i].Write(p, true)
-		}
-	}
-	a.vals[i].Write(p, v)
 	a.local[i] = v
+	a.run(p, (*writeRun[T])(&a.ops[i]), a.n)
 	if a.prof.Enabled() {
 		a.prof.NoteWrite(i, p.Now(), p.Steps())
 	}
@@ -267,58 +362,24 @@ func (a *Arrow[T]) Scan(p *sched.Proc) []T {
 		return a.scanEpoch(p)
 	}
 	i := p.ID()
-	v1, v2, out := a.c1[i], a.c2[i], a.view[i]
+	r, m := &a.ops[i], a.n-1
+	v1, v2, out := r.v1, r.v2, r.out
 	var tries, passStart int64
 	for {
 		if a.prof.Enabled() {
 			passStart = p.Steps()
 		}
-		for j := 0; j < a.n; j++ {
-			if j != i {
-				a.arrows[i][j].Write(p, false)
-			}
-		}
-		for j := 0; j < a.n; j++ {
-			if j != i {
-				v1[j] = a.vals[j].Read(p)
-			}
-		}
-		// Second collect, fused with the toggle comparison and the view copy:
-		// both are register-local (no scheduler step), so folding them in here
-		// makes a clean scan one pass over the collect buffers instead of
-		// re-walking them in the check loop and the copy-out loop.
-		firstMismatch := a.n
-		for j := 0; j < a.n; j++ {
-			if j == i {
-				continue
-			}
-			v2[j] = a.vals[j].Read(p)
-			out[j] = v2[j].Val
-			if firstMismatch == a.n && v1[j].Toggle != v2[j].Toggle {
-				firstMismatch = j
-			}
-		}
+		r.firstMismatch = a.n
+		a.run(p, (*collectRun[T])(r), 3*m)
 		if MutTornScan.Load() {
-			firstMismatch = a.n // fault injection: ignore the handshake
+			r.firstMismatch = a.n // fault injection: ignore the handshake
 		}
 		// Arrow re-reads are scheduler steps, so they must happen for exactly
-		// the prefix the unfused loop would have checked: every j up to and
-		// including the first dirty slot (set arrow or toggle mismatch). The
-		// first dirty slot is also the blame culprit: the arrow (or toggle)
-		// was tripped by writer j's register.
-		clean := true
-		dirtyAt, dirtyArrow := -1, false
-		for j := 0; j < a.n && clean; j++ {
-			if j == i {
-				continue
-			}
-			set := a.arrows[i][j].Read(p)
-			if set || j == firstMismatch {
-				clean = false
-				dirtyAt, dirtyArrow = j, set
-			}
-		}
-		if clean {
+		// the prefix an unfused check would have read: every j up to and
+		// including the first dirty slot.
+		r.dirtyAt = -1
+		a.run(p, (*recheckRun[T])(r), m)
+		if r.dirtyAt < 0 {
 			if a.mon.Enabled() {
 				// Independent handshake audit: re-compare the two collects'
 				// toggle bits (register-local, no scheduler steps). A returning
@@ -345,10 +406,10 @@ func (a *Arrow[T]) Scan(p *sched.Proc) []T {
 		a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.ScanRetry, Value: tries})
 		if a.prof.Enabled() {
 			reason := prof.BlameToggle
-			if dirtyArrow {
+			if r.dirtyArrow {
 				reason = prof.BlameArrow
 			}
-			a.prof.ScanRetry(i, dirtyAt, reason, p.Steps()-passStart, p.Now())
+			a.prof.ScanRetry(i, r.dirtyAt, reason, p.Steps()-passStart, p.Now())
 		}
 	}
 }
@@ -385,7 +446,7 @@ const (
 // 4(n-1) for k tripped registers).
 func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 	i := p.ID()
-	v1, v2, out := a.c1[i], a.c2[i], a.view[i]
+	v1, v2, out := a.ops[i].v1, a.ops[i].v2, a.ops[i].out
 	trip, arr, hot := a.epTrip[i], a.epArrow[i], a.epHot[i]
 	for j := 0; j < a.n; j++ {
 		// First pass: every register is unconfirmed, every arrow needs a clear.

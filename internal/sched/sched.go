@@ -25,6 +25,10 @@
 // §16):
 //
 //   - Sequential (the default): the adversary is consulted for every grant.
+//     A grant to a process inside a step sequence (Proc.StepSeq: a run of
+//     register operations with no process code between them) costs no
+//     switch at all: the token holder executes the op on its own coroutine
+//     and dispatches on, and the process is resumed only when its run ends.
 //   - Commuting (Config.Commuting, see commute.go): the adversary's pick
 //     opens a batch of waiting processes whose declared register footprints
 //     pairwise commute, and each batch member runs up to commuteQuantum steps
@@ -77,8 +81,10 @@ type haltSignal struct{}
 
 // Proc is the handle a simulated process uses to interact with the scheduler.
 // It carries the process identity, a private deterministic random source, and
-// the gate through which every atomic step must pass. A Proc is owned by a
-// single goroutine and must not be shared.
+// the gate through which every atomic step must pass. A Proc belongs to its
+// process: it is used by that process's body and, during an inline
+// step-sequence op (see StepSeq), by the token holder's coroutine, never
+// concurrently.
 type Proc struct {
 	id    int
 	rng   *rand.Rand
@@ -91,6 +97,12 @@ type Proc struct {
 	// fpKey 0 (undeclared) and is treated as conflicting with everything.
 	fpKey   int64
 	fpWrite bool
+
+	// opGrant is set while the grant for a step-sequence op has been issued
+	// ahead of the op's Step: that Step takes it without dispatching, and
+	// until then Now reports opInv, the step at which the op was invoked.
+	opGrant bool
+	opInv   int64
 }
 
 // gate abstracts how a Step is granted.
@@ -111,15 +123,72 @@ func (p *Proc) Steps() int64 { return p.steps }
 
 // Now returns the global step count at the time of the call. It is used by
 // instrumentation (history recording) to timestamp operation intervals; it is
-// not meant to be consulted by algorithm logic.
-func (p *Proc) Now() int64 { return p.gate.now() }
+// not meant to be consulted by algorithm logic. Inside a step-sequence op
+// whose grant was issued ahead of its Step, it reports the step at which the
+// op was invoked until that Step, as it would had the process run the op
+// itself.
+func (p *Proc) Now() int64 {
+	if p.opGrant {
+		return p.opInv
+	}
+	return p.gate.now()
+}
 
 // Step blocks until the scheduler grants this process its next atomic
 // shared-memory action. Register implementations call it internally; most
-// algorithm code never needs to call it directly.
+// algorithm code never needs to call it directly. The Step of a
+// step-sequence op whose grant was issued ahead of it takes that grant and
+// returns.
 func (p *Proc) Step() {
-	p.gate.step(p)
+	if p.opGrant {
+		p.opGrant = false
+	} else {
+		p.gate.step(p)
+	}
 	p.steps++
+}
+
+// Seq is a step sequence: a fixed run of atomic steps with no process code
+// between them, such as the arrow clears and collects of a scan pass.
+type Seq interface {
+	// Op performs step k of the run, which is exactly one register operation
+	// (one Step), and reports whether the run goes on.
+	Op(p *Proc, k int) bool
+}
+
+// StepSeq performs ops 0..n-1 of s as p's next n steps, stopping early after
+// an op that reports false, and returns how many ops ran. An op that takes no
+// Step or more than one panics, naming p and the op index.
+//
+// Under the sequential policy the process is resumed only when its run ends:
+// a grant to a process inside a run executes its op right away on the
+// coroutine that issued the grant (DESIGN.md §11, Step sequences). Every other
+// gate runs the ops one by one here, exactly as if p called them in a loop.
+func (p *Proc) StepSeq(s Seq, n int) int {
+	if d, ok := p.gate.(*dispatcher); ok {
+		return d.stepSeq(p, s, n)
+	}
+	for k := 0; k < n; k++ {
+		before := p.steps
+		more := s.Op(p, k)
+		if p.steps != before+1 {
+			panic(opFault(p.id, k, p.steps > before))
+		}
+		if !more {
+			return k + 1
+		}
+	}
+	return n
+}
+
+// opFault is the panic message for step-sequence op k of process pid that
+// took no Step (extra false) or more than one.
+func opFault(pid, k int, extra bool) string {
+	took := "no step"
+	if extra {
+		took = "more than one step"
+	}
+	return fmt.Sprintf("sched: process %d: step-sequence op %d took %s, want exactly one", pid, k, took)
 }
 
 // DeclareRead declares that this process's next Step reads the register
@@ -233,6 +302,12 @@ type procSlot struct {
 	enqueuedAt int64               // global step count when the proc last entered Step
 	perProc    int64
 	waitSteps  int64
+
+	// The process's step sequence while it is inside StepSeq (seq is nil
+	// otherwise): its next op is k of n, and any token holder may run it.
+	proc *Proc
+	seq  Seq
+	k, n int
 }
 
 // dispatcher is the direct-dispatch step engine. It owns everything the two
@@ -268,6 +343,11 @@ type dispatcher struct {
 	err     error
 	badPick string // deferred adversary-misbehavior panic, rethrown by Run
 
+	// opPid is the process whose step-sequence op is executing on another
+	// process's coroutine, or -1. A panic while it is set is raised in its
+	// name.
+	opPid int
+
 	// com is the commuting grant policy, nil under sequential dispatch. Only
 	// grantNext consults it: each policy's gate calls its own dispatch, so
 	// the sequential step path never tests it.
@@ -286,6 +366,7 @@ func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 		isLive:   make([]bool, cfg.N),
 		finished: make([]bool, cfg.N),
 		next:     -1,
+		opPid:    -1,
 	}
 	for i := 0; i < cfg.N; i++ {
 		d.live[i] = i
@@ -308,12 +389,63 @@ func (d *dispatcher) now() int64 { return d.steps }
 // step implements gate for the sequential policy. The caller holds the token
 // (it is the one process running user code), so it consults the adversary for
 // the next grant directly: a self-pick coalesces into a plain return, a
-// cross-pick records the target and parks.
+// cross-pick records the target and parks. A second Step in a step-sequence
+// op (the first takes the grant issued ahead of it, see Proc.Step) panics
+// before it can dispatch, which could park the wrong coroutine.
 func (d *dispatcher) step(p *Proc) {
+	if s := &d.slots[p.id]; s.seq != nil {
+		panic(opFault(p.id, s.k, true))
+	}
 	if d.enter(p) && d.dispatch(p.id) {
 		return // self-grant: the run of steps continues without a switch
 	}
 	d.park(p.id)
+}
+
+// stepSeq is StepSeq under the sequential policy. p publishes its run in its
+// slot, then takes each op's Step path: it runs the op itself on a self-grant
+// or when Run resumes it with the op's grant, and parks otherwise. While it is
+// parked, other token holders run its ops on its behalf (dispatch), and Run
+// resumes it once the run has ended.
+func (d *dispatcher) stepSeq(p *Proc, seq Seq, n int) int {
+	s := &d.slots[p.id]
+	if s.seq != nil {
+		panic(opFault(p.id, s.k, true)) // StepSeq inside an op
+	}
+	if n <= 0 {
+		return 0
+	}
+	s.seq, s.k, s.n = seq, 0, n
+	for {
+		if !d.enter(p) || !d.dispatch(p.id) {
+			d.park(p.id)
+			if s.seq == nil {
+				return s.k // other token holders ran the rest of the run
+			}
+		}
+		if !d.runOp(p.id) {
+			return s.k
+		}
+	}
+}
+
+// runOp performs pid's granted step-sequence op on the calling coroutine and
+// reports whether the run goes on. The op's Step finds the grant issued, and
+// Now reports the op's invocation step until then.
+func (d *dispatcher) runOp(pid int) bool {
+	s := &d.slots[pid]
+	p, k := s.proc, s.k
+	p.opGrant, p.opInv = true, s.enqueuedAt
+	more := s.seq.Op(p, k)
+	if p.opGrant {
+		panic(opFault(pid, k, false))
+	}
+	s.k++
+	if more && s.k < s.n {
+		return true
+	}
+	s.seq = nil
+	return false
 }
 
 // enter records that p reached a Step. It reports whether p holds the token
@@ -338,17 +470,40 @@ func (d *dispatcher) park(pid int) {
 // It reports whether the grant went to self, which is -1 when no process is
 // asking (the run's first grant, or one after a completion: the finishing
 // process cannot be picked, it has already left the live set).
+//
+// A grant from a process's Step to another process inside a step sequence
+// runs that op here instead of resuming the process, then dispatches the
+// grant its next op asks for, and so on until a grant goes to self, to a
+// process outside a run, or ends a run (Run then resumes that process). A
+// grant no process asks for resumes its process, which runs the op itself:
+// no op runs on Run's own goroutine, where a panic in it could not be raised
+// in the process's name.
 func (d *dispatcher) dispatch(self int) bool {
-	if d.exhausted() {
-		d.err = ErrStepBudget
-		return false
+	for {
+		if d.exhausted() {
+			d.err = ErrStepBudget
+			return false
+		}
+		pick := d.adv.Next(d.live, d.steps)
+		if pick < 0 || pick >= d.n || !d.isLive[pick] {
+			d.refuse(pick)
+			return false
+		}
+		if d.issue(pick, self) {
+			return true
+		}
+		if self < 0 || d.slots[pick].seq == nil {
+			return false
+		}
+		d.opPid = pick
+		more := d.runOp(pick)
+		d.opPid = -1
+		if !more {
+			return false
+		}
+		d.next = -1
+		d.slots[pick].enqueuedAt = d.steps // pick is at its next op's Step
 	}
-	pick := d.adv.Next(d.live, d.steps)
-	if pick < 0 || pick >= d.n || !d.isLive[pick] {
-		d.refuse(pick)
-		return false
-	}
-	return d.issue(pick, self)
 }
 
 // exhausted reports whether the step budget is spent.
@@ -460,13 +615,20 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 	resume := make([]func() (struct{}, bool), cfg.N)
 	for i := range resume {
 		p := newProc(i, cfg.Seed, g)
+		d.slots[i].proc = p
 		next, stop := iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, ok := rec.(haltSignal); !ok {
-						// Real bug in the algorithm body. Its stack dies with the
-						// coroutine, so the re-raised panic carries it.
-						panic(fmt.Sprintf("%v\n\nprocess %d panicked at:\n%s", rec, i, debug.Stack()))
+						// Real bug in the algorithm body, or in a step-sequence
+						// op this coroutine ran for process opPid. Its stack
+						// dies with the coroutine, so the re-raised panic
+						// carries it.
+						pid := i
+						if d.opPid >= 0 {
+							pid = d.opPid
+						}
+						panic(fmt.Sprintf("%v\n\nprocess %d panicked at:\n%s", rec, pid, debug.Stack()))
 					}
 					// Halt teardown: no completion bookkeeping.
 				}

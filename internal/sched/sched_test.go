@@ -293,13 +293,24 @@ func TestAdversaryPanicsOnBadPick(t *testing.T) {
 // all of its processes down before Run returns, under both grant policies: a
 // step-budget halt, a stall, and a real panic in a body, which Run re-raises
 // in the caller's goroutine with the body's stack. No process goroutine may
-// outlive the run.
+// outlive the run. The seq rows end runs whose processes sit inside step
+// sequences; in seq/panic, process 2's op runs on process 0's coroutine
+// under sequential dispatch, and the re-raised panic must still name process
+// 2 alone.
 func TestRunTeardownLeavesNoProcesses(t *testing.T) {
 	const bug = "body bug"
 	loop := func(p *Proc) {
 		for {
 			p.Step()
 		}
+	}
+	seqLoop := func(p *Proc) {
+		for {
+			p.StepSeq(stepOps, 5)
+		}
+	}
+	crashAll := func() Adversary {
+		return NewCrash(NewRoundRobin(), map[int]int64{0: 20, 1: 20, 2: 20, 3: 20})
 	}
 	endings := []struct {
 		name     string
@@ -309,15 +320,26 @@ func TestRunTeardownLeavesNoProcesses(t *testing.T) {
 		wantErr  error // nil: Run must panic with bug
 	}{
 		{"budget", 50, NewRoundRobin, loop, ErrStepBudget},
-		{"stall", 0, func() Adversary {
-			return NewCrash(NewRoundRobin(), map[int]int64{0: 20, 1: 20, 2: 20, 3: 20})
-		}, loop, ErrStalled},
+		{"stall", 0, crashAll, loop, ErrStalled},
 		{"panic", 0, NewRoundRobin, func(p *Proc) {
 			for {
 				p.Step()
 				if p.ID() == 2 && p.Steps() == 5 {
 					panic(bug)
 				}
+			}
+		}, nil},
+		{"seq/budget", 50, NewRoundRobin, seqLoop, ErrStepBudget},
+		{"seq/stall", 0, crashAll, seqLoop, ErrStalled},
+		{"seq/panic", 0, NewRoundRobin, func(p *Proc) {
+			for {
+				p.StepSeq(seqFunc(func(p *Proc, _ int) bool {
+					p.Step()
+					if p.ID() == 2 && p.Steps() == 5 {
+						panic(bug)
+					}
+					return true
+				}), 3)
 			}
 		}, nil},
 	}
@@ -334,8 +356,9 @@ func TestRunTeardownLeavesNoProcesses(t *testing.T) {
 				}()
 				msg, _ := rec.(string)
 				switch {
-				case e.wantErr == nil && !strings.Contains(msg, bug+"\n\nprocess 2 panicked at:"):
-					t.Fatalf("Run panicked with %v, want %q from process 2", rec, bug)
+				case e.wantErr == nil && (!strings.Contains(msg, bug+"\n\nprocess 2 panicked at:") ||
+					strings.Count(msg, "panicked at:") != 1):
+					t.Fatalf("Run panicked with %v, want %q from process 2 alone", rec, bug)
 				case e.wantErr == nil && !strings.Contains(msg, "TestRunTeardownLeavesNoProcesses"):
 					t.Fatalf("re-raised panic lost the body's stack:\n%s", msg)
 				case e.wantErr != nil && rec != nil:

@@ -8,12 +8,12 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/prof"
 )
 
-// TestProfDoesNotPerturb: profiling must not change the run. For all five
+// TestProfDoesNotPerturb: profiling must not change the run. For all six
 // protocols, a profiled run must be byte-identical to an unprofiled one —
 // same decision, same step counts, same full cross-layer JSONL trace, same
 // registry counters (minus the prof.* family the profiler adds).
 func TestProfDoesNotPerturb(t *testing.T) {
-	algs := []Algorithm{Bounded, AspnesHerlihy, LocalCoin, StrongCoin, Abrahamson}
+	algs := []Algorithm{Bounded, AspnesHerlihy, LocalCoin, StrongCoin, Abrahamson, Anonymous}
 	for _, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
 			base := Config{
