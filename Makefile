@@ -36,10 +36,11 @@ all: vet test build
 # repository benchmark), so ci vets and tests it on its own: an API change
 # that breaks the benchmark's build fails here rather than in a benchmark run,
 # and perfbench-smoke runs each gated workload briefly in both modes.
-ci: fmt-check vet build test
+# The module's `go test ./...` and the -race pass run last: a red package test
+# then fails ci only after every other gate has run, instead of hiding them.
+ci: fmt-check vet build
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) perfbench-smoke
-	$(GO) test -short -race -timeout 900s ./...
 	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
@@ -51,6 +52,8 @@ ci: fmt-check vet build test
 	./scripts/dispatch_smoke.sh
 	./scripts/tail_smoke.sh
 	$(GO) run ./cmd/benchdiff BENCH_batch.json BENCH_batch.json
+	$(MAKE) test
+	$(GO) test -short -race -timeout 900s ./...
 
 build:
 	$(GO) build ./...

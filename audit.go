@@ -18,7 +18,7 @@ import (
 // header stamped into flight dumps. instance is the batch instance index (-1
 // for a single Solve run); batchSeed is the batch-level seed instance seeds
 // derive from (0 for single runs).
-func runInfoFor(cfg Config, alg Algorithm, instance int, batchSeed int64) audit.RunInfo {
+func runInfoFor(cfg Config, instance int, batchSeed int64) audit.RunInfo {
 	var replayable *bool
 	substrate := ""
 	if cfg.Substrate == NativeSubstrate {
@@ -33,7 +33,7 @@ func runInfoFor(cfg Config, alg Algorithm, instance int, batchSeed int64) audit.
 		dispatch = "commuting"
 	}
 	return audit.RunInfo{
-		Algorithm:  alg.String(),
+		Algorithm:  cfg.algorithm().String(),
 		N:          len(cfg.Inputs),
 		Seed:       cfg.Seed,
 		Instance:   instance,

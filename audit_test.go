@@ -9,40 +9,6 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/audit"
 )
 
-// TestAuditCleanAllAlgorithms runs every protocol with the monitor on and
-// checks (a) no probe fires on a healthy execution and (b) the audited run's
-// decision and step count are byte-identical to the unaudited run — probes
-// are passive: they take no scheduler steps and consume no process
-// randomness.
-func TestAuditCleanAllAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{Bounded, AspnesHerlihy, LocalCoin, StrongCoin, Abrahamson} {
-		cfg := Config{
-			Inputs:    []int{0, 1, 1, 0},
-			Algorithm: alg,
-			Seed:      11,
-			Schedule:  Schedule{Kind: RandomSchedule},
-			MaxSteps:  20_000_000,
-		}
-		plain, err := Solve(cfg)
-		if err != nil {
-			t.Fatalf("%v: unaudited: %v", alg, err)
-		}
-		cfg.Audit = true
-		cfg.AuditSampleEvery = 1 // every sampled probe at every opportunity
-		audited, err := Solve(cfg)
-		if err != nil {
-			t.Fatalf("%v: audited: %v", alg, err)
-		}
-		if len(audited.Violations) > 0 {
-			t.Fatalf("%v: healthy run reported violations: %v", alg, audited.Violations)
-		}
-		if audited.Value != plain.Value || audited.Steps != plain.Steps {
-			t.Fatalf("%v: audit changed the run: (%d,%d) vs (%d,%d)",
-				alg, audited.Value, audited.Steps, plain.Value, plain.Steps)
-		}
-	}
-}
-
 // Mutation recipes: each runtime fault hook paired with a config whose
 // execution provably trips the matching probe (seeds found empirically;
 // deterministic thereafter).
@@ -158,11 +124,7 @@ func TestReplayConfigRoundTrip(t *testing.T) {
 			Schedule: Schedule{Kind: RandomSchedule, CrashAt: map[int]int64{2: 500, 0: 40}}},
 	}
 	for _, cfg := range cfgs {
-		alg := cfg.Algorithm
-		if alg == 0 {
-			alg = Bounded
-		}
-		info := runInfoFor(cfg, alg, -1, 0)
+		info := runInfoFor(cfg, -1, 0)
 		got, err := ReplayConfig(info)
 		if err != nil {
 			t.Fatalf("ReplayConfig(%+v): %v", info, err)
@@ -174,7 +136,7 @@ func TestReplayConfigRoundTrip(t *testing.T) {
 		// before comparing against the original.
 		got.Audit, got.AuditSampleEvery = false, 0
 		want := cfg
-		want.Algorithm = alg
+		want.Algorithm = cfg.algorithm()
 		if want.Memory == 0 {
 			want.Memory = ArrowMemory
 		}

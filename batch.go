@@ -172,93 +172,46 @@ func SolveBatch(cfg BatchConfig) (BatchResult, error) {
 			cfg.PerInstance(k, &c)
 		}
 		if c.TraceWriter != nil || c.TraceJSONL != nil || c.Recorder != nil {
-			return BatchResult{}, fmt.Errorf("consensus: batch instance %d: trace surfaces are not supported in SolveBatch; trace a single instance with Solve", k)
+			return BatchResult{}, fmt.Errorf("consensus: trace surfaces are not supported in SolveBatch; trace a single instance with Solve (batch instance %d)", k)
 		}
-		if len(c.Inputs) == 0 {
-			return BatchResult{}, fmt.Errorf("consensus: batch instance %d: Inputs must not be empty", k)
-		}
-		alg := c.Algorithm
-		if alg == 0 {
-			alg = Bounded
-		}
-		kind, err := alg.kind()
+		inst, err := c.instance()
 		if err != nil {
-			return BatchResult{}, err
-		}
-		memKind, err := c.Memory.kind()
-		if err != nil {
-			return BatchResult{}, err
-		}
-		adv, err := c.Schedule.adversary(c.Seed)
-		if err != nil {
-			return BatchResult{}, err
-		}
-		sub, err := c.substrate()
-		if err != nil {
-			return BatchResult{}, err
-		}
-		if sub != nil && sub.NativeRegisters() && c.Profile {
-			return BatchResult{}, fmt.Errorf("consensus: batch instance %d: Profile requires the simulated substrate", k)
-		}
-		if sub != nil && sub.NativeRegisters() && c.ParallelDispatch {
-			return BatchResult{}, fmt.Errorf("consensus: batch instance %d: ParallelDispatch requires the simulated substrate", k)
+			return BatchResult{}, fmt.Errorf("%w (batch instance %d)", err, k)
 		}
 		// Each audited instance gets its own monitor: flight rings and
 		// violation counters are per-instance state, so workers never share.
-		var mon *audit.Monitor
 		if c.Audit {
-			mon = audit.New(audit.Options{
+			inst.Monitor = audit.New(audit.Options{
 				SampleEvery: c.AuditSampleEvery,
 				DumpDir:     c.AuditDumpDir,
 			})
-			mon.SetRun(runInfoFor(c, alg, k, cfg.Seed))
+			inst.Monitor.SetRun(runInfoFor(c, k, cfg.Seed))
 			if mons == nil {
 				mons = make([]*audit.Monitor, cfg.Instances)
 			}
-			mons[k] = mon
+			mons[k] = inst.Monitor
 		}
 		// Each profiled instance gets its own profiler (per-instance matrices
 		// and chains); spans are not retained — batch aggregation merges only
 		// counters and matrices.
-		var pr *prof.Profiler
 		if c.Profile {
-			pr = prof.New(prof.Options{N: len(c.Inputs)})
+			inst.Profiler = prof.New(prof.Options{N: len(c.Inputs)})
 			if profs == nil {
 				profs = make([]*prof.Profiler, cfg.Instances)
 			}
-			profs[k] = pr
+			profs[k] = inst.Profiler
 		}
 		// Each metered instance gets its own meter: declared layouts accumulate
 		// per install, so a shared meter would double-count pooled instances.
-		var sm *space.Meter
 		if c.Space {
-			sm = space.NewMeter()
+			inst.Space = space.NewMeter()
 			if meters == nil {
 				meters = make([]*space.Meter, cfg.Instances)
 			}
-			meters[k] = sm
+			meters[k] = inst.Space
 		}
-		instances[k] = core.Instance{
-			Kind: kind,
-			Cfg: core.Config{
-				K:              c.K,
-				B:              c.B,
-				M:              c.M,
-				MemKind:        memKind,
-				UseBloomArrows: c.UseBloomArrows,
-				FastDecide:     c.FastDecide,
-			},
-			Inputs:    c.Inputs,
-			Seed:      c.Seed,
-			Adversary: adv,
-			MaxSteps:  c.MaxSteps,
-			Monitor:   mon,
-			Profiler:  pr,
-			Space:     sm,
-			Substrate: sub,
-			Commuting: c.ParallelDispatch,
-			Latency:   c.Latency,
-		}
+		inst.Latency = c.Latency
+		instances[k] = inst
 	}
 
 	// One sink serves the whole batch: every registry mutation path is an

@@ -228,6 +228,63 @@ func (c Config) substrate() (sched.Substrate, error) {
 	}
 }
 
+// algorithm is c.Algorithm with the zero value defaulted to Bounded.
+func (c Config) algorithm() Algorithm {
+	if c.Algorithm == 0 {
+		return Bounded
+	}
+	return c.Algorithm
+}
+
+// instance resolves c into one core instance without instruments: it checks
+// the inputs, maps the algorithm, memory, schedule and substrate onto their
+// core values, and refuses what the native substrate cannot run. Solve and
+// SolveBatch add the instruments.
+func (c Config) instance() (core.Instance, error) {
+	if len(c.Inputs) == 0 {
+		return core.Instance{}, errors.New("consensus: Config.Inputs must not be empty")
+	}
+	kind, err := c.algorithm().kind()
+	if err != nil {
+		return core.Instance{}, err
+	}
+	memKind, err := c.Memory.kind()
+	if err != nil {
+		return core.Instance{}, err
+	}
+	adv, err := c.Schedule.adversary(c.Seed)
+	if err != nil {
+		return core.Instance{}, err
+	}
+	sub, err := c.substrate()
+	if err != nil {
+		return core.Instance{}, err
+	}
+	if sub != nil && sub.NativeRegisters() && c.Profile {
+		return core.Instance{}, errors.New("consensus: Profile requires the simulated substrate (profiler hooks assume serialized steps)")
+	}
+	if sub != nil && sub.NativeRegisters() && c.ParallelDispatch {
+		return core.Instance{}, errors.New("consensus: ParallelDispatch requires the simulated substrate (native runs schedule on the hardware, not the adversary)")
+	}
+	return core.Instance{
+		Kind: kind,
+		Cfg: core.Config{
+			K:              c.K,
+			B:              c.B,
+			M:              c.M,
+			MemKind:        memKind,
+			UseBloomArrows: c.UseBloomArrows,
+			FastDecide:     c.FastDecide,
+		},
+		Inputs:    c.Inputs,
+		Seed:      c.Seed,
+		Adversary: adv,
+		MaxSteps:  c.MaxSteps,
+		Substrate: sub,
+		Commuting: c.ParallelDispatch,
+	}, nil
+}
+
 // MemoryKind selects the scannable-memory (snapshot) implementation.
 type MemoryKind int
 
@@ -483,34 +540,9 @@ var (
 // The error is nil when every process decided; ErrStepBudget or ErrStalled
 // (with partial results) otherwise.
 func Solve(cfg Config) (Result, error) {
-	if len(cfg.Inputs) == 0 {
-		return Result{}, errors.New("consensus: Config.Inputs must not be empty")
-	}
-	alg := cfg.Algorithm
-	if alg == 0 {
-		alg = Bounded
-	}
-	kind, err := alg.kind()
+	inst, err := cfg.instance()
 	if err != nil {
 		return Result{}, err
-	}
-	memKind, err := cfg.Memory.kind()
-	if err != nil {
-		return Result{}, err
-	}
-	adv, err := cfg.Schedule.adversary(cfg.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	sub, err := cfg.substrate()
-	if err != nil {
-		return Result{}, err
-	}
-	if sub != nil && sub.NativeRegisters() && cfg.Profile {
-		return Result{}, errors.New("consensus: Profile requires the simulated substrate (profiler hooks assume serialized steps)")
-	}
-	if sub != nil && sub.NativeRegisters() && cfg.ParallelDispatch {
-		return Result{}, errors.New("consensus: ParallelDispatch requires the simulated substrate (native runs schedule on the hardware, not the adversary)")
 	}
 	// One sink serves every trace surface: the human-readable log filters the
 	// shared event stream to the core layer, the JSONL export takes all of
@@ -541,7 +573,7 @@ func Solve(cfg Config) (Result, error) {
 			SampleEvery: cfg.AuditSampleEvery,
 			DumpDir:     cfg.AuditDumpDir,
 		})
-		mon.SetRun(runInfoFor(cfg, alg, -1, 0))
+		mon.SetRun(runInfoFor(cfg, -1, 0))
 	}
 	var profiler *prof.Profiler
 	if cfg.Profile {
@@ -552,24 +584,17 @@ func Solve(cfg Config) (Result, error) {
 		meter = space.NewMeter()
 	}
 	solveStart := time.Now() // monotonic; read only when cfg.Latency below
-	out, err := core.Execute(kind, core.Config{
-		K:              cfg.K,
-		B:              cfg.B,
-		M:              cfg.M,
-		MemKind:        memKind,
-		UseBloomArrows: cfg.UseBloomArrows,
-		FastDecide:     cfg.FastDecide,
-	}, core.ExecConfig{
-		Inputs:    cfg.Inputs,
-		Seed:      cfg.Seed,
-		Adversary: adv,
-		MaxSteps:  cfg.MaxSteps,
+	out, err := core.Execute(inst.Kind, inst.Cfg, core.ExecConfig{
+		Inputs:    inst.Inputs,
+		Seed:      inst.Seed,
+		Adversary: inst.Adversary,
+		MaxSteps:  inst.MaxSteps,
 		Sink:      sink,
 		Monitor:   mon,
 		Profiler:  profiler,
 		Space:     meter,
-		Substrate: sub,
-		Commuting: cfg.ParallelDispatch,
+		Substrate: inst.Substrate,
+		Commuting: inst.Commuting,
 	})
 	var latencyNS int64
 	if cfg.Latency {

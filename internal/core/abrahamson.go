@@ -5,7 +5,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -32,7 +31,7 @@ type Abrahamson struct {
 	flips    []pad.Int64
 	maxRound atomic.Int64
 
-	traceSink
+	instruments
 }
 
 // NewAbrahamson builds an instance. B and M are ignored (no shared coin).
@@ -60,58 +59,14 @@ func NewAbrahamson(cfg Config) (*Abrahamson, error) {
 // Name implements Protocol.
 func (a *Abrahamson) Name() string { return "abrahamson" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (a *Abrahamson) SetSink(s *obs.Sink) {
-	a.setSink(s)
-	if ss, ok := a.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (a *Abrahamson) SetMonitor(m *audit.Monitor) {
-	a.setMonitor(m)
-	if sm, ok := a.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(a.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (a *Abrahamson) SetProfiler(f *prof.Profiler) {
-	a.setProfiler(f)
-	if sp, ok := a.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (a *Abrahamson) SetNative(on bool) {
-	if sn, ok := a.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (a *Abrahamson) SetScanEpoch(on bool) {
-	if se, ok := a.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Entries carry only a
-// preference and an explicit round number, so the static layout is tiny —
-// the unbounded part is the round magnitude, measured online in inc.
-func (a *Abrahamson) SetSpace(m *space.Meter) {
-	a.setSpace(m)
-	if sp, ok := a.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
+// install implements Protocol (see Bounded.install). Entries carry only a
+// preference and an explicit round number, so the static space layout is
+// tiny — the unbounded part is the round magnitude, measured online in inc.
+func (a *Abrahamson) install(in instruments) {
+	a.instruments = in
+	installMemory(a.mem, in)
+	in.mon.SetStateFn(a.captureState)
+	m := in.spc
 	if m == nil {
 		return
 	}
@@ -150,7 +105,6 @@ func (a *Abrahamson) Reset() bool {
 		a.flips[i].Store(0)
 	}
 	a.maxRound.Store(0)
-	a.traceSink = traceSink{}
 	return true
 }
 
@@ -174,7 +128,7 @@ func (a *Abrahamson) inc(p *sched.Proc, st UEntry) UEntry {
 	a.rounds[p.ID()].Add(1)
 	atomicMax(&a.maxRound, st.Round)
 	a.sink.GaugeMax(obs.GaugeMaxRound, st.Round)
-	a.emit(Event{Step: p.Now(), Pid: p.ID(), Kind: EvRoundAdvance, Round: st.Round})
+	a.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreRound, Round: st.Round})
 	return st
 }
 
@@ -190,7 +144,7 @@ func (a *Abrahamson) Run(p *sched.Proc, input int) int {
 	span.To(a.sink, obs.PhaseStrip, i, p.Now(), p.Steps())
 	st = a.inc(p, st)
 	a.mem.Write(p, st)
-	a.emit(Event{Step: p.Now(), Pid: i, Kind: EvStart, Round: st.Round, Detail: "pref=" + prefString(st.Pref)})
+	a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: st.Round, Detail: "pref=" + prefString(st.Pref)})
 	span.To(a.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 
 	for {
@@ -214,7 +168,7 @@ func (a *Abrahamson) Run(p *sched.Proc, input int) int {
 			if ok {
 				span.To(a.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 				a.sink.Observe(obs.HistStepsToDecide, p.Steps())
-				a.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: st.Round, Detail: prefString(st.Pref)})
+				a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: st.Round, Detail: prefString(st.Pref)})
 				span.Finish(a.sink, i, p.Now(), p.Steps())
 				return int(st.Pref)
 			}
@@ -242,7 +196,7 @@ func (a *Abrahamson) Run(p *sched.Proc, input int) int {
 		st.Pref = int8(p.Rand().Intn(2))
 		a.flips[i].Add(1)
 		a.mem.Write(p, st)
-		a.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinFlip, Round: st.Round, Detail: "local=" + prefString(st.Pref)})
+		a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round, Detail: "local=" + prefString(st.Pref)})
 		span.To(a.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 	}
 }

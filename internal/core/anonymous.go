@@ -6,7 +6,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -43,9 +42,8 @@ import (
 type Anonymous struct {
 	cfg Config
 
-	mu     sync.RWMutex
-	rnds   []anonRound
-	native bool
+	mu   sync.RWMutex
+	rnds []anonRound
 
 	// Per-pid counters and the last adopted preference, for metrics and
 	// flight dumps only — the protocol itself never consults them (anonymity
@@ -55,7 +53,7 @@ type Anonymous struct {
 	prefs    []pad.Int64
 	maxRound atomic.Int64
 
-	traceSink
+	instruments
 }
 
 // anonRound is one round's register quartet: the conciliator register S and
@@ -94,7 +92,7 @@ func NewAnonymous(cfg Config) (*Anonymous, error) {
 func (a *Anonymous) Name() string { return "anonymous" }
 
 // round returns round r's register quartet, creating it (and any missing
-// earlier rounds) on first touch. Creation installs the current sink, space
+// earlier rounds) on first touch. Creation installs the run's sink, space
 // meter and storage mode, and meters the growth online: four registers and
 // four payload words per round — the register count is where this protocol
 // pays for anonymity.
@@ -127,56 +125,28 @@ func (a *Anonymous) round(r int64) anonRound {
 	return rd
 }
 
-// SetSink installs the observability sink on the protocol and every register
-// created so far (later rounds pick it up at creation).
-func (a *Anonymous) SetSink(s *obs.Sink) {
-	a.setSink(s)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetSink(s) })
-	}
-}
-
-// SetMonitor installs the invariant monitor and the flight-recorder state
-// snapshot. There is no memory stack beneath to propagate to.
-func (a *Anonymous) SetMonitor(m *audit.Monitor) {
-	a.setMonitor(m)
-	m.SetStateFn(a.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol level (nil
-// detaches). There is no scan layer, so only the phase spans report.
-func (a *Anonymous) SetProfiler(f *prof.Profiler) { a.setProfiler(f) }
-
-// SetNative switches register storage to the substrate's mode; rounds
-// created later inherit it.
-func (a *Anonymous) SetNative(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.native = on
-	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetNative(on) })
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Almost everything is
+// install implements Protocol. There is no memory stack beneath: the run's
+// instruments go on the protocol and every register created so far, and
+// rounds created later pick them up in round(). There is no scan layer
+// either, so a profiler sees only the phase spans. Almost all space is
 // metered online in round(): the static part is only the payload domain —
 // every register holds a value in {⊥,0,1}, two bits.
-func (a *Anonymous) SetSpace(m *space.Meter) {
-	a.setSpace(m)
+func (a *Anonymous) install(in instruments) {
 	a.mu.Lock()
+	a.instruments = in
 	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetSpace(m, space.LayerRegister) })
-	}
-	if m != nil {
-		m.AddWords(space.LayerCore, int64(len(a.rnds))*4)
+		rd.each(func(reg *register.DirectMRMW[int8]) {
+			reg.SetNative(in.native)
+			reg.SetSink(in.sink)
+			reg.SetSpace(in.spc, space.LayerRegister)
+		})
 	}
 	a.mu.Unlock()
-	if m == nil {
-		return
+	in.mon.SetStateFn(a.captureState)
+	if m := in.spc; m != nil {
+		m.AddWords(space.LayerCore, int64(len(a.rnds))*4)
+		m.DeclareDomain(space.LayerCore, 3) // every payload is in {⊥,0,1}
 	}
-	m.DeclareDomain(space.LayerCore, 3) // every payload is in {⊥,0,1}
 }
 
 // captureState snapshots per-pid adopted preferences and round counts for
@@ -205,7 +175,6 @@ func (a *Anonymous) Reset() bool {
 		a.prefs[i].Store(int64(Bottom))
 	}
 	a.maxRound.Store(0)
-	a.traceSink = traceSink{}
 	return true
 }
 
@@ -233,14 +202,14 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 	if a.prof.Enabled() {
 		span.Observe(a.prof)
 	}
-	a.emit(Event{Step: p.Now(), Pid: i, Kind: EvStart, Detail: "pref=" + prefString(v)})
+	a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Detail: "pref=" + prefString(v)})
 
 	for r := int64(1); ; r++ {
 		rd := a.round(r)
 		a.rounds[i].Add(1)
 		atomicMax(&a.maxRound, r)
 		a.sink.GaugeMax(obs.GaugeMaxRound, r)
-		a.emit(Event{Step: p.Now(), Pid: i, Kind: EvRoundAdvance, Round: r})
+		a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreRound, Round: r})
 
 		// Conciliator: adopt a published value, or publish with prob 1/2.
 		span.To(a.sink, obs.PhaseCoin, i, p.Now(), p.Steps())
@@ -249,10 +218,10 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 		} else if p.Rand().Intn(2) == 0 {
 			rd.s.Write(p, v)
 			a.flips[i].Add(1)
-			a.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinFlip, Round: r, Detail: "anon=" + prefString(v)})
+			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: r, Detail: "anon=" + prefString(v)})
 		} else {
 			a.flips[i].Add(1)
-			a.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinFlip, Round: r, Detail: "anon=skip"})
+			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: r, Detail: "anon=skip"})
 			if s := rd.s.Read(p); s != Bottom {
 				v = s
 			}
@@ -271,7 +240,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 			// Conflict seen before proposing: adopt the proposal register.
 			if d := rd.d.Read(p); d != Bottom {
 				v = d
-				a.emit(Event{Step: p.Now(), Pid: i, Kind: EvPrefChange, Round: r, Detail: "adopt=" + prefString(v)})
+				a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: r, Detail: "adopt=" + prefString(v)})
 			}
 			a.prefs[i].Store(int64(v))
 			continue
@@ -281,7 +250,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 		if other.Read(p) == 0 {
 			span.To(a.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 			a.sink.Observe(obs.HistStepsToDecide, p.Steps())
-			a.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: r, Detail: prefString(v)})
+			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: r, Detail: prefString(v)})
 			span.Finish(a.sink, i, p.Now(), p.Steps())
 			return int(v)
 		}

@@ -1,9 +1,10 @@
 package core
 
 // Resettable is the between-run reset capability of a protocol instance: it
-// restores the zero-run state (memory stack, metrics, trace hooks) and reports
-// whether every layer beneath it supported the operation. A false return means
-// the instance must be rebuilt from scratch.
+// restores the zero-run state (memory stack, metrics, analysis hooks) and
+// reports whether every layer beneath it supported the operation. A false
+// return means the instance must be rebuilt from scratch. Instruments are not
+// part of that state: ExecuteProto installs each run's own.
 type Resettable interface {
 	Reset() bool
 }
@@ -15,9 +16,9 @@ type Resettable interface {
 // many same-shaped instances pays that cost once.
 //
 // An Arena is NOT safe for concurrent use — each batch worker owns its own.
-// Reset clears protocol-level trace hooks but leaves previously installed
-// sinks on the register fabric; callers must install the current sink each run
-// (ExecuteProto does) or use one uniform sink per arena, as RunBatch does.
+// A reused instance still holds the previous run's instruments until
+// ExecuteProto installs the next run's on every layer, absent ones included,
+// so a run without a sink, monitor, profiler or meter reports into none.
 type Arena struct {
 	slots map[Kind]*arenaSlot
 }

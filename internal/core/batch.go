@@ -81,8 +81,9 @@ type BatchOutcome struct {
 // identical at any parallelism provided each Instance is self-contained
 // (seeded adversary, own inputs).
 //
-// sink, if non-nil, is installed on every instance; it must be metrics-only
-// (atomic registry — no recorder or tracer), since workers emit concurrently.
+// sink, if non-nil, is installed on every instance; workers emit into it
+// concurrently, so its recorder, if any, must synchronize itself (obs.Ring
+// does).
 func RunBatch(parallel int, sink *obs.Sink, instances []Instance) []BatchOutcome {
 	return RunBatchProgress(parallel, sink, nil, instances)
 }

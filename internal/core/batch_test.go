@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
 )
@@ -170,6 +171,47 @@ func TestArenaReuse(t *testing.T) {
 	}
 	if interface{}(p4) == interface{}(p3) {
 		t.Error("kinds must not share slots")
+	}
+}
+
+// TestArenaRunDropsPreviousSink: a pooled instance run without a sink must
+// not report into the previous run's sink. The protocol level and every
+// layer beneath it, registers included, take the next run's instruments,
+// absent ones too.
+func TestArenaRunDropsPreviousSink(t *testing.T) {
+	kinds := []Kind{KindBounded, KindAHUnbounded, KindExpLocal, KindStrongCoin, KindAbrahamson, KindAnonymous}
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			arena := NewArena()
+			run := func(sink *obs.Sink) {
+				proto, err := arena.Protocol(kind, Config{N: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := ExecuteProto(proto, ExecConfig{
+					Inputs:    []int{0, 1, 1, 0},
+					Seed:      5,
+					Adversary: sched.NewRandom(5),
+					MaxSteps:  5_000_000,
+					Sink:      sink,
+				})
+				if err == nil {
+					err = out.Err
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink := obs.NewSink(nil)
+			run(sink)
+			before := sink.Registry().Snapshot().Counters
+			run(nil)
+			for k, v := range sink.Registry().Snapshot().Counters {
+				if before[k] != v {
+					t.Errorf("counter %s moved %d -> %d during a run without a sink", k, before[k], v)
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -99,7 +98,7 @@ type Bounded struct {
 	// are never built from it.
 	scratch []bscratch
 
-	traceSink
+	instruments
 
 	// OnScan, if non-nil, is invoked after every scan with the scanning
 	// process and its (normalized) view, in scan-serialization order. It is
@@ -182,8 +181,9 @@ func (b *Bounded) decodeViewAt(i int, view []Entry) (*strip.Graph, error) {
 }
 
 // Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. Trace hooks are cleared;
-// callers reinstall sinks per run. Call only between runs.
+// reporting whether the memory stack supported it. The OnScan hook is
+// cleared; instruments are not, because every run installs its own. Call
+// only between runs.
 func (b *Bounded) Reset() bool {
 	r, ok := b.mem.(interface{ Reset() bool })
 	if !ok || !r.Reset() {
@@ -194,7 +194,6 @@ func (b *Bounded) Reset() bool {
 		b.flips[i].Store(0)
 	}
 	b.maxAbsCoin.Store(0)
-	b.traceSink = traceSink{}
 	b.OnScan = nil
 	return true
 }
@@ -205,67 +204,18 @@ func (b *Bounded) Name() string { return "bounded" }
 // Config returns the effective configuration.
 func (b *Bounded) Config() Config { return b.cfg }
 
-// SetSink installs the observability sink on the protocol and the whole
-// memory stack beneath it (scannable memory down to individual registers).
-func (b *Bounded) SetSink(s *obs.Sink) {
-	b.setSink(s)
-	if ss, ok := b.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol, propagates it
-// down the memory stack (scan handshake and register probes), and provides
-// the flight-recorder state snapshot. A nil m detaches everything.
-func (b *Bounded) SetMonitor(m *audit.Monitor) {
-	b.setMonitor(m)
-	if sm, ok := b.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(b.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and propagates it
-// down the memory stack (write/scan blame hooks). A nil f detaches
-// everything — ExecuteProto always calls it, so pooled instances never
-// carry a stale profiler.
-func (b *Bounded) SetProfiler(f *prof.Profiler) {
-	b.setProfiler(f)
-	if sp, ok := b.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see register.NativeSetter). ExecuteProto always calls it, so pooled
-// instances never carry a stale mode across substrates.
-func (b *Bounded) SetNative(on bool) {
-	if sn, ok := b.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// scan.Arrow.SetEpoch). ExecuteProto enables it together with commuting
-// dispatch and always calls it, so pooled instances never carry a stale mode.
-func (b *Bounded) SetScanEpoch(on bool) {
-	if se, ok := b.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter on the protocol and the memory stack
-// beneath it (nil detaches — ExecuteProto always calls it), and declares the
-// protocol's static layout: per process the entry carries pref +
-// current_coin pointer + decided flag (core), K+1 cyclic coin counters
-// clamped to ±(M+1) (walk), and n mod-3K edge counters (strip). All bounded
-// — this is the protocol whose meters must never move past their declared
-// domains.
-func (b *Bounded) SetSpace(m *space.Meter) {
-	b.setSpace(m)
-	if sp, ok := b.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
+// install implements Protocol: the run's instruments go on the protocol and
+// the whole memory stack beneath it, the monitor gets the flight-recorder
+// state snapshot, and a meter gets the protocol's static layout: per process
+// the entry carries pref + current_coin pointer + decided flag (core), K+1
+// cyclic coin counters clamped to ±(M+1) (walk), and n mod-3K edge counters
+// (strip). All bounded — this is the protocol whose meters must never move
+// past their declared domains.
+func (b *Bounded) install(in instruments) {
+	b.instruments = in
+	installMemory(b.mem, in)
+	in.mon.SetStateFn(b.captureState)
+	m := in.spc
 	if m == nil {
 		return
 	}
@@ -348,7 +298,7 @@ func (b *Bounded) inc(p *sched.Proc, st Entry, view []Entry) (Entry, error) {
 		b.spc.NoteValue(space.LayerCore, int64(st.Pref))
 	}
 	b.rounds[p.ID()].Add(1)
-	b.emit(Event{Step: p.Now(), Pid: p.ID(), Kind: EvRoundAdvance, Round: b.rounds[p.ID()].Load()})
+	b.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreRound, Round: b.rounds[p.ID()].Load()})
 	return st, nil
 }
 
@@ -383,11 +333,11 @@ func (b *Bounded) flipNextCoin(p *sched.Proc, st Entry) Entry {
 	b.flips[p.ID()].Add(1)
 	atomicMax(&b.maxAbsCoin, int64(abs(st.Coin[slot])))
 	b.sink.GaugeMax(obs.GaugeMaxAbsCoin, int64(abs(st.Coin[slot])))
-	ev := Event{Step: p.Now(), Pid: p.ID(), Kind: EvCoinFlip, Round: b.rounds[p.ID()].Load()}
-	if b.tracing() {
+	ev := obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreFlip, Round: b.rounds[p.ID()].Load()}
+	if b.sink.Tracing() {
 		ev.Detail = fmt.Sprintf("c=%d", st.Coin[slot])
 	}
-	b.emit(ev)
+	b.sink.Emit(ev)
 	return st
 }
 
@@ -426,7 +376,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 	}
 	st.Pref = int8(input)
 	b.mem.Write(p, st)
-	b.emit(Event{Step: p.Now(), Pid: i, Kind: EvStart, Round: b.rounds[i].Load(), Detail: "pref=" + prefString(st.Pref)})
+	b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: b.rounds[i].Load(), Detail: "pref=" + prefString(st.Pref)})
 	span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 
 	for {
@@ -452,7 +402,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 					v := view[j].Pref
 					span.To(b.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 					b.sink.Observe(obs.HistStepsToDecide, p.Steps())
-					b.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: b.rounds[i].Load(), Detail: prefString(v) + " (fast)"})
+					b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load(), Detail: prefString(v) + " (fast)"})
 					span.Finish(b.sink, i, p.Now(), p.Steps())
 					return int(v)
 				}
@@ -469,7 +419,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 				b.mem.Write(p, st)
 			}
 			b.sink.Observe(obs.HistStepsToDecide, p.Steps())
-			b.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: b.rounds[i].Load(), Detail: prefString(st.Pref)})
+			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load(), Detail: prefString(st.Pref)})
 			span.Finish(b.sink, i, p.Now(), p.Steps())
 			return int(st.Pref)
 		}
@@ -485,7 +435,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 			st.Pref = v
 			b.mem.Write(p, st)
 			if old != v {
-				b.emit(Event{Step: p.Now(), Pid: i, Kind: EvPrefChange, Round: b.rounds[i].Load(),
+				b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load(),
 					Detail: prefString(old) + "->" + prefString(v)})
 			}
 			span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
@@ -497,7 +447,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 			old := st.Pref
 			st.Pref = Bottom // value field: no clone needed
 			b.mem.Write(p, st)
-			b.emit(Event{Step: p.Now(), Pid: i, Kind: EvPrefChange, Round: b.rounds[i].Load(),
+			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load(),
 				Detail: prefString(old) + "->⊥"})
 			continue
 		}
@@ -510,7 +460,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 			b.mem.Write(p, st)
 			span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 		default:
-			b.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinDecided, Round: b.rounds[i].Load(), Detail: cv.String()})
+			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreCoin, Round: b.rounds[i].Load(), Detail: cv.String()})
 			span.To(b.sink, obs.PhaseStrip, i, p.Now(), p.Steps())
 			st, err = b.inc(p, st, view)
 			if err != nil {
@@ -518,7 +468,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 			}
 			st.Pref = outcomeBit(cv)
 			b.mem.Write(p, st)
-			b.emit(Event{Step: p.Now(), Pid: i, Kind: EvPrefChange, Round: b.rounds[i].Load(),
+			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load(),
 				Detail: "⊥->" + prefString(st.Pref)})
 			span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 		}

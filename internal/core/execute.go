@@ -23,6 +23,10 @@ type Protocol interface {
 	// Metrics returns accounting collected during the run. Call after the
 	// run completes.
 	Metrics() Metrics
+	// install installs a run's instruments on the protocol and the whole
+	// stack beneath it, replacing whatever a previous run installed. Call
+	// before the run starts.
+	install(instruments)
 }
 
 // Kind names a protocol implementation.
@@ -129,20 +133,17 @@ type ExecConfig struct {
 	Adversary sched.Adversary
 	// MaxSteps bounds the run (0 = unbounded).
 	MaxSteps int64
-	// Tracer, if non-nil, receives protocol events (round advances,
-	// preference changes, coin flips, decisions) in scheduler order. Events
-	// emitted before a process's first scheduler step (each protocol's
-	// initial round advance) arrive in pid order: both engines serialize
-	// body startup, so the whole event stream is deterministic. Calls are
-	// totally ordered with happens-before edges (startup arrival signals,
-	// then token handoffs), so a Tracer needs no locking of its own.
-	Tracer Tracer
-
 	// Sink, if non-nil, is the unified observability sink: it is installed on
 	// the protocol and propagated down the whole memory stack (scan layer,
 	// registers) and into the scheduler, so one run produces a cross-layer
 	// event stream and metrics registry. Nil disables observability at zero
-	// cost.
+	// cost. Protocol events (round advances, preference changes, coin flips,
+	// decisions) reach its recorder in scheduler order; those emitted before
+	// a process's first scheduler step (each protocol's initial round
+	// advance) arrive in pid order, because both engines serialize body
+	// startup, so the whole event stream is deterministic. Recorder calls are
+	// totally ordered with happens-before edges (startup arrival signals,
+	// then token handoffs), so a recorder needs no locking of its own.
 	Sink *obs.Sink
 
 	// Rendezvous selects the legacy rendezvous step engine (test-only; see
@@ -248,27 +249,12 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 	if native && ec.Commuting {
 		return Outcome{}, errors.New("core: commuting dispatch requires the simulated substrate (native runs schedule on the hardware, not the adversary)")
 	}
-	// Always set the storage mode — a pooled instance may have last run on a
-	// different substrate.
-	if s, ok := proto.(interface{ SetNative(bool) }); ok {
-		s.SetNative(native)
-	}
-	// Always set the scan-retry mode too — a pooled instance may have last run
-	// under the other dispatch engine.
-	if s, ok := proto.(interface{ SetScanEpoch(bool) }); ok {
-		s.SetScanEpoch((ec.Commuting || ec.ScanEpoch) && !native)
-	}
 	// Native runs are not step-serialized: register-ops reach the monitor out
 	// of linearization order (phantom regularity violations) and hardware
 	// preemption stretches the scan-to-write window past what the §4.2
 	// sequential-game graph invariants cover. The monitor disables exactly
 	// those two probe families; value-based probes stay armed.
 	ec.Monitor.SetNonSerialized(native)
-	if ec.Tracer != nil {
-		if s, ok := proto.(interface{ SetTracer(Tracer) }); ok {
-			s.SetTracer(ec.Tracer)
-		}
-	}
 	sink := ec.Sink
 	if ec.Monitor.Enabled() {
 		// Tee the monitor's bounded flight ring into the run's event stream so
@@ -282,25 +268,17 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 		}
 		ec.Monitor.BindSink(sink)
 	}
-	if sink != nil {
-		if s, ok := proto.(interface{ SetSink(*obs.Sink) }); ok {
-			s.SetSink(sink)
-		}
-	}
-	// Always install the monitor — a nil Monitor must clear any stale one a
-	// pooled instance might still carry from a previous audited run.
-	if s, ok := proto.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		s.SetMonitor(ec.Monitor)
-	}
-	// Same for the profiler: always install, so pooled instances never carry
-	// a stale one.
-	if s, ok := proto.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		s.SetProfiler(ec.Profiler)
-	}
-	// And the space meter: always install (nil detaches).
-	if s, ok := proto.(interface{ SetSpace(*space.Meter) }); ok {
-		s.SetSpace(ec.Space)
-	}
+	// Install everything, nil and off included: a pooled instance may have
+	// last run with other instruments, on another substrate or under the
+	// other dispatch engine.
+	proto.install(instruments{
+		sink:   sink,
+		mon:    ec.Monitor,
+		prof:   ec.Profiler,
+		spc:    ec.Space,
+		native: native,
+		epoch:  (ec.Commuting || ec.ScanEpoch) && !native,
+	})
 	n := len(ec.Inputs)
 	out := Outcome{
 		Decided: make([]bool, n),

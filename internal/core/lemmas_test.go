@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/sched"
 	"github.com/dsrepro/consensus/internal/vround"
 )
@@ -43,7 +44,7 @@ func recordLemmaTrace(t *testing.T, n int, inputs []int, seed int64, adv sched.A
 	tracker := vround.New(n, proto.Config().K)
 	tr := &lemmaTrace{}
 	var trErr error
-	lastCoinDecided := make(map[int]int64) // pid -> step of latest EvCoinDecided
+	lastCoinDecided := make(map[int]int64) // pid -> step of latest core.coin
 
 	proto.OnScan = func(pid int, view []Entry) {
 		if trErr != nil {
@@ -59,17 +60,17 @@ func recordLemmaTrace(t *testing.T, n int, inputs []int, seed int64, adv sched.A
 		}
 		tr.scans = append(tr.scans, s)
 	}
-	// Tracer calls are totally ordered (serialized startup + token handoffs;
-	// see ExecConfig.Tracer), so this lock is belt-and-braces only.
+	// Recorder calls are totally ordered (serialized startup + token
+	// handoffs; see ExecConfig.Sink), so this lock is belt-and-braces only.
 	var mu sync.Mutex
-	proto.SetTracer(func(e Event) {
+	rec := obs.FuncRecorder(func(e obs.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch e.Kind {
-		case EvCoinDecided:
+		case obs.CoreCoin:
 			lastCoinDecided[e.Pid] = 1 // latch: the next adoption is coin-driven
-		case EvPrefChange:
-			// (EvStart is excluded: initial writes carry the processes'
+		case obs.CorePref:
+			// (CoreStart is excluded: initial writes carry the processes'
 			// inputs, which may legitimately differ — Lemma 6.7 is about
 			// the selections made when entering later rounds.)
 			val := Bottom
@@ -95,9 +96,16 @@ func recordLemmaTrace(t *testing.T, n int, inputs []int, seed int64, adv sched.A
 		}
 	})
 
-	_, err = sched.Run(sched.Config{N: n, Seed: seed, Adversary: adv, MaxSteps: 100_000_000}, func(p *sched.Proc) {
-		proto.Run(p, inputs[p.ID()])
+	out, err := ExecuteProto(proto, ExecConfig{
+		Inputs:    inputs,
+		Seed:      seed,
+		Adversary: adv,
+		MaxSteps:  100_000_000,
+		Sink:      obs.NewSink(rec),
 	})
+	if err == nil {
+		err = out.Err
+	}
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -31,7 +30,7 @@ type ExpLocal struct {
 	// scratch[i] is pid i's decode working storage (owner-goroutine only).
 	scratch []bscratch
 
-	traceSink
+	instruments
 
 	// Flip chooses the preference adopted on a leader conflict. It defaults
 	// to a fair local coin. Tests override it with a deterministic rule to
@@ -94,7 +93,6 @@ func (l *ExpLocal) Reset() bool {
 		l.rounds[i].Store(0)
 		l.flips[i].Store(0)
 	}
-	l.traceSink = traceSink{}
 	l.Flip = defaultLocalFlip
 	return true
 }
@@ -102,59 +100,15 @@ func (l *ExpLocal) Reset() bool {
 // Name implements Protocol.
 func (l *ExpLocal) Name() string { return "exp-local" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (l *ExpLocal) SetSink(s *obs.Sink) {
-	l.setSink(s)
-	if ss, ok := l.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (l *ExpLocal) SetMonitor(m *audit.Monitor) {
-	l.setMonitor(m)
-	if sm, ok := l.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(l.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (l *ExpLocal) SetProfiler(f *prof.Profiler) {
-	l.setProfiler(f)
-	if sp, ok := l.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (l *ExpLocal) SetNative(on bool) {
-	if sn, ok := l.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (l *ExpLocal) SetScanEpoch(on bool) {
-	if se, ok := l.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). The layout is identical
-// to the bounded protocol's — the baseline keeps the coin slots in its
-// entries, they just stay zero — so the frontier tables show it matching
+// install implements Protocol (see Bounded.install). The space layout is
+// identical to the bounded protocol's — the baseline keeps the coin slots in
+// its entries, they just stay zero — so the frontier tables show it matching
 // Bounded on space while losing on expected time.
-func (l *ExpLocal) SetSpace(m *space.Meter) {
-	l.setSpace(m)
-	if sp, ok := l.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
+func (l *ExpLocal) install(in instruments) {
+	l.instruments = in
+	installMemory(l.mem, in)
+	in.mon.SetStateFn(l.captureState)
+	m := in.spc
 	if m == nil {
 		return
 	}
@@ -225,7 +179,7 @@ func (l *ExpLocal) inc(p *sched.Proc, st Entry, view []Entry) (Entry, error) {
 		l.spc.NoteValue(space.LayerCore, int64(st.Pref))
 	}
 	l.rounds[p.ID()].Add(1)
-	l.emit(Event{Step: p.Now(), Pid: p.ID(), Kind: EvRoundAdvance, Round: l.rounds[p.ID()].Load()})
+	l.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreRound, Round: l.rounds[p.ID()].Load()})
 	return st, nil
 }
 
@@ -264,7 +218,7 @@ func (l *ExpLocal) Run(p *sched.Proc, input int) int {
 		if st.Pref != Bottom && g.Leader(i) && disagreersTrailByK(view, g, i, st.Pref) {
 			span.To(l.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 			l.sink.Observe(obs.HistStepsToDecide, p.Steps())
-			l.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: l.rounds[i].Load(), Detail: prefString(st.Pref)})
+			l.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: l.rounds[i].Load(), Detail: prefString(st.Pref)})
 			span.Finish(l.sink, i, p.Now(), p.Steps())
 			return int(st.Pref)
 		}
@@ -290,7 +244,7 @@ func (l *ExpLocal) Run(p *sched.Proc, input int) int {
 			old := st.Pref
 			st.Pref = Bottom // value field: no clone needed
 			l.mem.Write(p, st)
-			l.emit(Event{Step: p.Now(), Pid: i, Kind: EvPrefChange, Round: l.rounds[i].Load(),
+			l.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: l.rounds[i].Load(),
 				Detail: prefString(old) + "->⊥"})
 			continue
 		}
@@ -303,7 +257,7 @@ func (l *ExpLocal) Run(p *sched.Proc, input int) int {
 		st.Pref = l.Flip(p, st.Pref)
 		l.flips[i].Add(1)
 		l.mem.Write(p, st)
-		l.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinFlip, Round: l.rounds[i].Load(),
+		l.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: l.rounds[i].Load(),
 			Detail: "local=" + prefString(st.Pref)})
 		span.To(l.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -79,7 +78,7 @@ type StrongCoin struct {
 	flips    []pad.Int64
 	maxRound atomic.Int64
 
-	traceSink
+	instruments
 }
 
 // NewStrongCoin builds a strong-coin baseline instance. B and M are ignored.
@@ -108,61 +107,17 @@ func NewStrongCoin(cfg Config) (*StrongCoin, error) {
 // Name implements Protocol.
 func (s *StrongCoin) Name() string { return "strong-coin" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (s *StrongCoin) SetSink(sk *obs.Sink) {
-	s.setSink(sk)
-	if ss, ok := s.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(sk)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (s *StrongCoin) SetMonitor(m *audit.Monitor) {
-	s.setMonitor(m)
-	if sm, ok := s.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(s.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (s *StrongCoin) SetProfiler(f *prof.Profiler) {
-	s.setProfiler(f)
-	if sp, ok := s.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative). The oracle coin needs no switch: it is
-// mutex-guarded and correct under real concurrency.
-func (s *StrongCoin) SetNative(on bool) {
-	if sn, ok := s.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (s *StrongCoin) SetScanEpoch(on bool) {
-	if se, ok := s.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Entries carry only a
-// preference and an explicit round number; the oracle plays the shared
-// coin's role, so its one-bit-per-flipped-round store is metered online on
-// the walk layer (see Oracle.Flip).
-func (s *StrongCoin) SetSpace(m *space.Meter) {
-	s.setSpace(m)
-	if sp, ok := s.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
-	s.oracle.spc = m
+// install implements Protocol (see Bounded.install). The oracle coin needs
+// no storage mode: it is mutex-guarded and correct under real concurrency.
+// Entries carry only a preference and an explicit round number; the oracle
+// plays the shared coin's role, so its one-bit-per-flipped-round store is
+// metered online on the walk layer (see Oracle.Flip).
+func (s *StrongCoin) install(in instruments) {
+	s.instruments = in
+	installMemory(s.mem, in)
+	in.mon.SetStateFn(s.captureState)
+	s.oracle.spc = in.spc
+	m := in.spc
 	if m == nil {
 		return
 	}
@@ -203,7 +158,6 @@ func (s *StrongCoin) Reset() bool {
 		s.flips[i].Store(0)
 	}
 	s.maxRound.Store(0)
-	s.traceSink = traceSink{}
 	return true
 }
 
@@ -227,7 +181,7 @@ func (s *StrongCoin) inc(p *sched.Proc, st UEntry) UEntry {
 	s.rounds[p.ID()].Add(1)
 	atomicMax(&s.maxRound, st.Round)
 	s.sink.GaugeMax(obs.GaugeMaxRound, st.Round)
-	s.emit(Event{Step: p.Now(), Pid: p.ID(), Kind: EvRoundAdvance, Round: st.Round})
+	s.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreRound, Round: st.Round})
 	return st
 }
 
@@ -265,7 +219,7 @@ func (s *StrongCoin) Run(p *sched.Proc, input int) int {
 			if ok {
 				span.To(s.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 				s.sink.Observe(obs.HistStepsToDecide, p.Steps())
-				s.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: st.Round, Detail: prefString(st.Pref)})
+				s.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: st.Round, Detail: prefString(st.Pref)})
 				span.Finish(s.sink, i, p.Now(), p.Steps())
 				return int(st.Pref)
 			}
@@ -291,7 +245,7 @@ func (s *StrongCoin) Run(p *sched.Proc, input int) int {
 		span.To(s.sink, obs.PhaseCoin, i, p.Now(), p.Steps())
 		bit := s.oracle.Flip(p, st.Round)
 		s.flips[i].Add(1)
-		s.emit(Event{Step: p.Now(), Pid: i, Kind: EvCoinFlip, Round: st.Round, Detail: "oracle=" + prefString(bit)})
+		s.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round, Detail: "oracle=" + prefString(bit)})
 		span.To(s.sink, obs.PhaseStrip, i, p.Now(), p.Steps())
 		st = s.inc(p, st)
 		st.Pref = bit

@@ -5,7 +5,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -49,7 +48,7 @@ type AHUnbounded struct {
 	// coins[i] is pid i's reused coin-assembly scratch (owner-only access).
 	coins [][]int
 
-	traceSink
+	instruments
 }
 
 // NewAHUnbounded builds an unbounded-baseline instance. Config.M is ignored:
@@ -88,63 +87,19 @@ func NewAHUnbounded(cfg Config) (*AHUnbounded, error) {
 // Name implements Protocol.
 func (u *AHUnbounded) Name() string { return "ah-unbounded" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (u *AHUnbounded) SetSink(s *obs.Sink) {
-	u.setSink(s)
-	if ss, ok := u.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot. The
+// install implements Protocol (see Bounded.install). The monitor's
 // coin-range probe stays dormant here (counters are genuinely unbounded) but
-// the scan, register and end-of-instance probes all apply.
-func (u *AHUnbounded) SetMonitor(m *audit.Monitor) {
-	u.setMonitor(m)
-	if sm, ok := u.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(u.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (u *AHUnbounded) SetProfiler(f *prof.Profiler) {
-	u.setProfiler(f)
-	if sp, ok := u.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (u *AHUnbounded) SetNative(on bool) {
-	if sn, ok := u.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (u *AHUnbounded) SetScanEpoch(on bool) {
-	if se, ok := u.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). The static layout is
-// pref + round per process (core); everything else — the explicit round
-// number, the per-round coin counters and the strip itself — is unbounded,
-// which is exactly what the meters exist to show: inc adds strip words
-// online as the strip grows, and the round/counter magnitudes are measured
-// at their write sites.
-func (u *AHUnbounded) SetSpace(m *space.Meter) {
-	u.setSpace(m)
-	if sp, ok := u.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
+// the scan, register and end-of-instance probes all apply. The static space
+// layout is pref + round per process (core); everything else — the explicit
+// round number, the per-round coin counters and the strip itself — is
+// unbounded, which is exactly what the meters exist to show: inc adds strip
+// words online as the strip grows, and the round/counter magnitudes are
+// measured at their write sites.
+func (u *AHUnbounded) install(in instruments) {
+	u.instruments = in
+	installMemory(u.mem, in)
+	in.mon.SetStateFn(u.captureState)
+	m := in.spc
 	if m == nil {
 		return
 	}
@@ -195,7 +150,6 @@ func (u *AHUnbounded) Reset() bool {
 	u.maxAbs.Store(0)
 	u.maxRound.Store(0)
 	u.stripLen.Store(0)
-	u.traceSink = traceSink{}
 	return true
 }
 
@@ -279,7 +233,7 @@ func (u *AHUnbounded) inc(p *sched.Proc, st UEntry) UEntry {
 	atomicMax(&u.stripLen, int64(len(st.Strip)))
 	u.sink.GaugeMax(obs.GaugeMaxRound, st.Round)
 	u.sink.GaugeMax(obs.GaugeMaxStripLen, int64(len(st.Strip)))
-	u.emit(Event{Step: p.Now(), Pid: p.ID(), Kind: EvRoundAdvance, Round: st.Round})
+	u.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.CoreRound, Round: st.Round})
 	return st
 }
 
@@ -294,7 +248,7 @@ func (u *AHUnbounded) Run(p *sched.Proc, input int) int {
 	span.To(u.sink, obs.PhaseStrip, i, p.Now(), p.Steps())
 	st = u.inc(p, st)
 	u.mem.Write(p, st)
-	u.emit(Event{Step: p.Now(), Pid: i, Kind: EvStart, Round: st.Round, Detail: "pref=" + prefString(st.Pref)})
+	u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: st.Round, Detail: "pref=" + prefString(st.Pref)})
 	span.To(u.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 
 	for {
@@ -319,7 +273,7 @@ func (u *AHUnbounded) Run(p *sched.Proc, input int) int {
 			if ok {
 				span.To(u.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 				u.sink.Observe(obs.HistStepsToDecide, p.Steps())
-				u.emit(Event{Step: p.Now(), Pid: i, Kind: EvDecide, Round: st.Round, Detail: prefString(st.Pref)})
+				u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: st.Round, Detail: prefString(st.Pref)})
 				span.Finish(u.sink, i, p.Now(), p.Steps())
 				return int(st.Pref)
 			}

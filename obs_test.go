@@ -83,34 +83,6 @@ func TestSolveResultPhaseHists(t *testing.T) {
 	}
 }
 
-// TestSolveObservationDoesNotPerturb: attaching a recorder must not change
-// the run — observation is read-only with respect to the protocol.
-func TestSolveObservationDoesNotPerturb(t *testing.T) {
-	cfg := Config{Inputs: []int{1, 0, 1, 0}, Seed: 11}
-	plain, err := Solve(cfg)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	ring := obs.NewRing(1024)
-	cfg.Recorder = ring
-	traced, err := Solve(cfg)
-	if err != nil {
-		t.Fatalf("Solve with recorder: %v", err)
-	}
-	if plain.Value != traced.Value || plain.Steps != traced.Steps {
-		t.Fatalf("recorder changed the run: %d/%d steps vs %d/%d",
-			plain.Value, plain.Steps, traced.Value, traced.Steps)
-	}
-	if ring.Len() == 0 {
-		t.Fatal("ring recorder received no events")
-	}
-	for k, v := range plain.Counters {
-		if traced.Counters[k] != v {
-			t.Errorf("counter %s: %d without recorder, %d with", k, v, traced.Counters[k])
-		}
-	}
-}
-
 // TestSolveResultCounters: the Result carries the registry snapshot.
 func TestSolveResultCounters(t *testing.T) {
 	res, err := Solve(Config{Inputs: []int{0, 1}, Seed: 3})

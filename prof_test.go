@@ -8,61 +8,6 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/prof"
 )
 
-// TestProfDoesNotPerturb: profiling must not change the run. For all six
-// protocols, a profiled run must be byte-identical to an unprofiled one —
-// same decision, same step counts, same full cross-layer JSONL trace, same
-// registry counters (minus the prof.* family the profiler adds).
-func TestProfDoesNotPerturb(t *testing.T) {
-	algs := []Algorithm{Bounded, AspnesHerlihy, LocalCoin, StrongCoin, Abrahamson, Anonymous}
-	for _, alg := range algs {
-		t.Run(alg.String(), func(t *testing.T) {
-			base := Config{
-				Inputs:    []int{1, 0, 1, 0},
-				Algorithm: alg,
-				Seed:      1989,
-				Schedule:  Schedule{Kind: RandomSchedule},
-			}
-
-			var plainTrace bytes.Buffer
-			plain := base
-			plain.TraceJSONL = &plainTrace
-			pres, err := Solve(plain)
-			if err != nil {
-				t.Fatalf("Solve: %v", err)
-			}
-
-			var profTrace bytes.Buffer
-			profiled := base
-			profiled.TraceJSONL = &profTrace
-			profiled.Profile = true
-			fres, err := Solve(profiled)
-			if err != nil {
-				t.Fatalf("Solve with profiler: %v", err)
-			}
-
-			if pres.Value != fres.Value || pres.Steps != fres.Steps {
-				t.Fatalf("profiler changed the run: value/steps %d/%d vs %d/%d",
-					pres.Value, pres.Steps, fres.Value, fres.Steps)
-			}
-			if !bytes.Equal(plainTrace.Bytes(), profTrace.Bytes()) {
-				t.Fatalf("profiled trace differs from unprofiled trace (%d vs %d bytes)",
-					plainTrace.Len(), profTrace.Len())
-			}
-			for k, v := range pres.Counters {
-				if fres.Counters[k] != v {
-					t.Errorf("counter %s: %d unprofiled, %d profiled", k, v, fres.Counters[k])
-				}
-			}
-			if fres.Profile == nil {
-				t.Fatal("profiled run returned no Profile")
-			}
-			if fres.Profile.Classes.Total == 0 {
-				t.Error("profile classified zero steps")
-			}
-		})
-	}
-}
-
 // TestProfProfileContents: the profile of a contended bounded run carries a
 // consistent step partition, a populated blame matrix matching the scan.retry
 // counter, and a critical path ending at the last decider's decide step.

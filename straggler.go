@@ -218,13 +218,9 @@ func ReplayStraggler(base Config, s tail.Straggler, dir string) (StragglerBundle
 // summarizeReplay folds the replay's profile and audit results into the
 // summary-file schema.
 func summarizeReplay(base Config, s tail.Straggler, res Result) stragglerSummary {
-	alg := base.Algorithm
-	if alg == 0 {
-		alg = Bounded
-	}
 	sum := stragglerSummary{
 		Straggler:       s,
-		Algorithm:       alg.String(),
+		Algorithm:       base.algorithm().String(),
 		N:               len(base.Inputs),
 		Schedule:        scheduleString(base.Schedule),
 		ReplaySteps:     res.Steps,
