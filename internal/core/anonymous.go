@@ -48,8 +48,7 @@ type Anonymous struct {
 	// Per-pid counters and the last adopted preference, for metrics and
 	// flight dumps only — the protocol itself never consults them (anonymity
 	// is a property of the shared registers, not of the harness).
-	rounds   []pad.Int64
-	flips    []pad.Int64
+	counters
 	prefs    []pad.Int64
 	maxRound atomic.Int64
 
@@ -77,10 +76,9 @@ func NewAnonymous(cfg Config) (*Anonymous, error) {
 		return nil, err
 	}
 	a := &Anonymous{
-		cfg:    cfg,
-		rounds: make([]pad.Int64, cfg.N),
-		flips:  make([]pad.Int64, cfg.N),
-		prefs:  make([]pad.Int64, cfg.N),
+		cfg:      cfg,
+		counters: newCounters(cfg.N),
+		prefs:    make([]pad.Int64, cfg.N),
 	}
 	for i := range a.prefs {
 		a.prefs[i].Store(int64(Bottom))
@@ -169,9 +167,8 @@ func (a *Anonymous) Reset() bool {
 	a.mu.Lock()
 	a.rnds = a.rnds[:0]
 	a.mu.Unlock()
-	for i := range a.rounds {
-		a.rounds[i].Store(0)
-		a.flips[i].Store(0)
+	a.counters.reset()
+	for i := range a.prefs {
 		a.prefs[i].Store(int64(Bottom))
 	}
 	a.maxRound.Store(0)
@@ -180,15 +177,8 @@ func (a *Anonymous) Reset() bool {
 
 // Metrics implements Protocol.
 func (a *Anonymous) Metrics() Metrics {
-	m := Metrics{
-		Rounds:    make([]int64, a.cfg.N),
-		CoinFlips: make([]int64, a.cfg.N),
-		MaxRound:  a.maxRound.Load(),
-	}
-	for i := 0; i < a.cfg.N; i++ {
-		m.Rounds[i] = a.rounds[i].Load()
-		m.CoinFlips[i] = a.flips[i].Load()
-	}
+	m := a.counters.metrics()
+	m.MaxRound = a.maxRound.Load()
 	return m
 }
 

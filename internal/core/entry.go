@@ -1,24 +1,28 @@
 // Package core implements the paper's §5 consensus protocol — bounded
 // polynomial randomized consensus — together with the baselines used by the
-// experiments, covering the full space/time design matrix of §1:
+// experiments, covering the design matrix of §1: a round structure crossed
+// with a conflict coin.
 //
-//   - Bounded: the paper's algorithm (bounded space, polynomial time).
-//     Preferences plus a bounded rounds strip (K+1 cyclic coin counters and
-//     n mod-3K edge counters per process) in scannable memory; a bounded
-//     weak shared coin resolves conflicts.
-//   - AHUnbounded: an Aspnes–Herlihy-style protocol [AH88] with unbounded
-//     round numbers, an unbounded strip of coins and unbounded counters —
-//     unbounded space, polynomial time.
-//   - ExpLocal: the bounded rounds machinery with independent local coin
-//     flips instead of the shared coin — bounded space, exponential time
-//     (ADS89-style).
-//   - Abrahamson: explicit unbounded rounds with local coin flips [A88] —
-//     unbounded space, exponential time.
-//   - StrongCoin: a Chor–Israeli–Li-style protocol assuming an atomic
-//     global coin-flip primitive (one common random bit per round).
+// There are two round structures, each one decide/adopt/withdraw loop that
+// hands only the conflict step (the paper's lines 7-8) to its coin:
+//
+//   - Bounded: preferences plus the bounded rounds strip (K+1 cyclic coin
+//     slots and n mod-3K edge counters per process) in scannable memory.
+//   - Unbounded: preferences plus explicit, unbounded round numbers.
+//
+// The constructors pick the coin:
+//
+//	                 local flips (exp. time)  shared coin (poly. time)  atomic coin
+//	bounded strip    NewExpLocal [ADS89]      NewBounded (this paper)   —
+//	explicit rounds  NewAbrahamson [A88]      NewAHUnbounded [AH88]     NewStrongCoin [CIL87]
+//
+// NewBounded's coin is the bounded weak shared coin (§3), NewAHUnbounded's an
+// unbounded random walk per round kept in an unbounded strip of counters, and
+// NewStrongCoin's the Oracle, one common random bit per round. Anonymous, in
+// anonymous.go, is the one protocol outside the matrix.
 //
 // All protocols run on the sched/scan substrate, decide by the same
-// leader-and-laggards rule, and expose step/round/space metrics. The bounded
+// leader-and-laggards rule, and expose step/round/space metrics. The paper's
 // protocol additionally supports the footnote-5 FastDecide speedup.
 package core
 

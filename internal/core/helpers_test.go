@@ -143,7 +143,7 @@ func TestCoinParamsDerivedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := proto.CoinParams()
+	params := proto.coin.(*sharedCoin).params
 	if params.B != 4 || params.N != 4 {
 		t.Fatalf("params = %+v", params)
 	}

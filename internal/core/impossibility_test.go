@@ -40,7 +40,7 @@ func TestDeterministicProtocolsCanBeDrivenForever(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				proto.Flip = rule
+				proto.coin = stripFlip(rule)
 				out, err := ExecuteProto(proto, ExecConfig{
 					Inputs:    []int{0, 1},
 					Seed:      1,

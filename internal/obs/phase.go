@@ -6,7 +6,7 @@ package obs
 // within the bounded range (§3), strip/round transitions (§4) — and Aspnes'
 // survey frames exactly this split (agreement work vs. coin work) as the
 // quantity separating protocol families, so the taxonomy is protocol-agnostic
-// and shared by all five implementations in internal/core:
+// and shared by every protocol in internal/core:
 //
 //   - prefer: agreement work — scanning, decoding the view, leader checks,
 //     adopting or withdrawing a preference.
@@ -130,11 +130,12 @@ type SpanObserver interface {
 }
 
 // PhaseSpan attributes one process's atomic steps to protocol phases. It is a
-// plain value held on the Run loop's stack: starting, cutting and finishing a
-// span allocate nothing, and with a nil sink the only residual cost is the
-// bookkeeping of the struct itself — observation stays zero-cost when
-// disabled and never perturbs execution (it only reads the step counters the
-// scheduler already maintains).
+// plain value owned by one process's Run loop (on its stack, or in the
+// protocol's per-process storage when a pointer to it leaves the loop):
+// starting, cutting and finishing a span allocate nothing, and with a nil
+// sink the only residual cost is the bookkeeping of the struct itself —
+// observation stays zero-cost when disabled and never perturbs execution (it
+// only reads the step counters the scheduler already maintains).
 type PhaseSpan struct {
 	phase PhaseID
 	mark  int64
