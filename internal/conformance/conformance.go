@@ -1,12 +1,11 @@
 // Package conformance is the cross-substrate conformance suite: a
 // table-driven battery of correctness checks that every execution substrate
-// (see sched.Substrate) must pass with every protocol, run against each
-// registered substrate by name.
+// (see sched.Substrate) must pass with every protocol.
 //
-// The suite is substrate-agnostic on purpose. A third substrate registered
-// via sched.RegisterSubstrate inherits it with no new test code: the
-// package's own test iterates sched.SubstrateNames(), and external packages
-// can call Run directly against their substrate's name.
+// The suite is substrate-agnostic on purpose: Run takes any sched.Substrate,
+// and the package's own test applies it to the simulated and the native
+// substrate. The validity, agreement and budget arms report every failing
+// (protocol, n, seed) run, not only the first.
 //
 // Arms:
 //
@@ -66,14 +65,10 @@ type Options struct {
 	AgreementSeeds int
 }
 
-// Run executes the full conformance suite against the named registered
-// substrate. It is the entry point a future substrate's own tests should
-// call; the package test applies it to every sched.SubstrateNames() entry.
-func Run(t *testing.T, name string, opts Options) {
-	sub, err := sched.NewSubstrate(name)
-	if err != nil {
-		t.Fatalf("substrate %q: %v", name, err)
-	}
+// Run executes the full conformance suite against sub. It is the entry
+// point a future substrate's own tests should call; the package test applies
+// it to the simulated and the native substrate.
+func Run(t *testing.T, sub sched.Substrate, opts Options) {
 	if opts.AuditInstances == 0 {
 		if sub.NativeRegisters() {
 			opts.AuditInstances = 5000
@@ -90,16 +85,16 @@ func Run(t *testing.T, name string, opts Options) {
 			opts.AgreementSeeds = 5
 		}
 	}
-	t.Run("validity", func(t *testing.T) { runValidity(t, name) })
-	t.Run("agreement", func(t *testing.T) { runAgreement(t, name, opts.AgreementSeeds) })
-	t.Run("budget", func(t *testing.T) { runBudget(t, name) })
-	t.Run("audit", func(t *testing.T) { runAudit(t, name, opts.AuditInstances) })
-	t.Run("faults", func(t *testing.T) { runFaults(t, name) })
+	t.Run("validity", func(t *testing.T) { runValidity(t, sub) })
+	t.Run("agreement", func(t *testing.T) { runAgreement(t, sub, opts.AgreementSeeds) })
+	t.Run("budget", func(t *testing.T) { runBudget(t, sub) })
+	t.Run("audit", func(t *testing.T) { runAudit(t, sub, opts.AuditInstances) })
+	t.Run("faults", func(t *testing.T) { runFaults(t, sub.Name()) })
 }
 
-// execute runs one instance on a fresh substrate value. Substrates are
-// stateless, but fault options differ per run, so each execution builds its
-// own (newSub hides the per-substrate construction).
+// execute runs one instance on sub. Substrates are stateless, so every run
+// of an arm shares one; the fault arm builds its own per run, because fault
+// options differ per run.
 func execute(t *testing.T, sub sched.Substrate, kind core.Kind, inputs []int, seed int64, mon *audit.Monitor) core.Outcome {
 	t.Helper()
 	out, err := core.Execute(kind, core.Config{}, core.ExecConfig{
@@ -144,75 +139,79 @@ func unanimous(n, v int) []int {
 	return in
 }
 
-func runValidity(t *testing.T, name string) {
+func runValidity(t *testing.T, sub sched.Substrate) {
 	for _, kind := range Protocols {
 		for _, n := range sizesFor(kind) {
 			for v := 0; v <= 1; v++ {
-				sub, _ := sched.NewSubstrate(name)
 				out := execute(t, sub, kind, unanimous(n, v), int64(100*n+v), nil)
 				if out.Err != nil {
-					t.Fatalf("%v n=%d: run error: %v", kind, n, out.Err)
+					t.Errorf("%v n=%d: run error: %v", kind, n, out.Err)
+					continue
 				}
 				if !out.AllDecided() {
-					t.Fatalf("%v n=%d: not all decided", kind, n)
+					t.Errorf("%v n=%d: not all decided", kind, n)
+					continue
 				}
 				got, err := out.Agreement()
 				if err != nil {
-					t.Fatalf("%v n=%d: %v", kind, n, err)
+					t.Errorf("%v n=%d: %v", kind, n, err)
+					continue
 				}
 				if got != v {
-					t.Fatalf("%v n=%d: unanimous input %d decided %d (validity violated)", kind, n, v, got)
+					t.Errorf("%v n=%d: unanimous input %d decided %d (validity violated)", kind, n, v, got)
 				}
 			}
 		}
 	}
 }
 
-func runAgreement(t *testing.T, name string, seeds int) {
+func runAgreement(t *testing.T, sub sched.Substrate, seeds int) {
 	for _, kind := range Protocols {
 		for _, n := range sizesFor(kind) {
 			for seed := int64(0); seed < int64(seeds); seed++ {
-				sub, _ := sched.NewSubstrate(name)
 				mon := audit.New(audit.Options{SampleEvery: 8})
 				out := execute(t, sub, kind, mixedInputs(n, seed), seed, mon)
 				if out.Err != nil {
-					t.Fatalf("%v n=%d seed=%d: run error: %v", kind, n, seed, out.Err)
+					t.Errorf("%v n=%d seed=%d: run error: %v", kind, n, seed, out.Err)
+					continue
 				}
 				if !out.AllDecided() {
-					t.Fatalf("%v n=%d seed=%d: not all decided", kind, n, seed)
+					t.Errorf("%v n=%d seed=%d: not all decided", kind, n, seed)
+					continue
 				}
 				v, err := out.Agreement()
 				if err != nil {
-					t.Fatalf("%v n=%d seed=%d: %v", kind, n, seed, err)
+					t.Errorf("%v n=%d seed=%d: %v", kind, n, seed, err)
+					continue
 				}
 				if v != 0 && v != 1 {
-					t.Fatalf("%v n=%d seed=%d: non-binary decision %d", kind, n, seed, v)
+					t.Errorf("%v n=%d seed=%d: non-binary decision %d", kind, n, seed, v)
+					continue
 				}
 				if vio := mon.Violations(); len(vio) != 0 {
-					t.Fatalf("%v n=%d seed=%d: audit violations %v", kind, n, seed, vio)
+					t.Errorf("%v n=%d seed=%d: audit violations %v", kind, n, seed, vio)
 				}
 			}
 		}
 	}
 }
 
-func runBudget(t *testing.T, name string) {
+func runBudget(t *testing.T, sub sched.Substrate) {
 	for _, kind := range Protocols {
 		for _, n := range sizesFor(kind) {
 			budget := core.StepBudget(kind, n)
-			sub, _ := sched.NewSubstrate(name)
 			out := execute(t, sub, kind, mixedInputs(n, int64(7*n)), int64(7*n), nil)
 			if out.Err != nil {
-				t.Fatalf("%v n=%d: run error under budget %d: %v", kind, n, budget, out.Err)
+				t.Errorf("%v n=%d: run error under budget %d: %v", kind, n, budget, out.Err)
+				continue
 			}
 			// Substrates may overshoot by up to one step per process before
 			// the halt propagates.
 			if out.Sched.Steps > budget+int64(n) {
-				t.Fatalf("%v n=%d: %d steps exceeds budget %d+%d", kind, n, out.Sched.Steps, budget, n)
+				t.Errorf("%v n=%d: %d steps exceeds budget %d+%d", kind, n, out.Sched.Steps, budget, n)
 			}
 		}
 		// Enforcement: a budget far below any protocol's cost must trip.
-		sub, _ := sched.NewSubstrate(name)
 		out, err := core.Execute(kind, core.Config{}, core.ExecConfig{
 			Inputs:    mixedInputs(4, 3),
 			Seed:      3,
@@ -223,20 +222,20 @@ func runBudget(t *testing.T, name string) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if !errors.Is(out.Err, sched.ErrStepBudget) {
-			t.Fatalf("%v: MaxSteps=16 returned %v, want ErrStepBudget", kind, out.Err)
+			t.Errorf("%v: MaxSteps=16 returned %v, want ErrStepBudget", kind, out.Err)
+			continue
 		}
 		if out.Sched.Steps > 16+4 {
-			t.Fatalf("%v: tripped budget still took %d steps, want <= 20", kind, out.Sched.Steps)
+			t.Errorf("%v: tripped budget still took %d steps, want <= 20", kind, out.Sched.Steps)
 		}
 	}
 }
 
-func runAudit(t *testing.T, name string, instances int) {
+func runAudit(t *testing.T, sub sched.Substrate, instances int) {
 	for _, kind := range Protocols {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			const n = 4
-			sub, _ := sched.NewSubstrate(name)
 			insts := make([]core.Instance, instances)
 			mons := make([]*audit.Monitor, instances)
 			for k := range insts {

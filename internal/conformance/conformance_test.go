@@ -6,18 +6,13 @@ import (
 	"github.com/dsrepro/consensus/internal/sched"
 )
 
-// TestSubstrateConformance applies the full suite to every registered
-// substrate. A third substrate registered via sched.RegisterSubstrate is
-// picked up here automatically — it inherits the suite by existing.
+// TestSubstrateConformance applies the full suite to the simulated and the
+// native substrate.
 func TestSubstrateConformance(t *testing.T) {
-	names := sched.SubstrateNames()
-	if len(names) < 2 {
-		t.Fatalf("substrate registry lists %v, want at least simulated and native", names)
-	}
-	for _, name := range names {
-		name := name
-		t.Run(Name(name), func(t *testing.T) {
-			Run(t, name, Options{})
+	for _, sub := range []sched.Substrate{sched.Simulated(), sched.NewNative(sched.NativeOptions{})} {
+		sub := sub
+		t.Run(Name(sub.Name()), func(t *testing.T) {
+			Run(t, sub, Options{})
 		})
 	}
 }

@@ -115,39 +115,6 @@ func TestNativeSeedReproducesPrivateCoins(t *testing.T) {
 	}
 }
 
-func TestSubstrateRegistry(t *testing.T) {
-	names := SubstrateNames()
-	want := map[string]bool{"simulated": false, "native": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("substrate %q not registered (have %v)", n, names)
-		}
-	}
-	for _, name := range names {
-		sub, err := NewSubstrate(name)
-		if err != nil {
-			t.Fatalf("NewSubstrate(%q): %v", name, err)
-		}
-		if sub.Name() != name {
-			t.Fatalf("NewSubstrate(%q).Name() = %q", name, sub.Name())
-		}
-	}
-	if _, err := NewSubstrate("no-such-substrate"); err == nil {
-		t.Fatal("NewSubstrate accepted an unknown name")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterSubstrate("simulated", Simulated)
-}
-
 func TestSimulatedSubstrateMatchesRun(t *testing.T) {
 	body := func(p *Proc) {
 		for i := 0; i < 20; i++ {

@@ -1,11 +1,5 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
 // Substrate is the execution seam every consensus run passes through: it
 // takes one body per process and runs all of them to completion, deciding
 // *how* the processes' atomic steps interleave. The direct-dispatch step
@@ -45,53 +39,3 @@ func (simulatedSubstrate) Run(cfg Config, body func(*Proc)) (Result, error) {
 // Simulated returns the deterministic step-scheduler substrate — the default
 // everywhere a Substrate is optional.
 func Simulated() Substrate { return simulatedSubstrate{} }
-
-// The substrate registry lets test harnesses (the conformance suite in
-// particular) enumerate every available backend, so a future third substrate
-// registered here inherits the whole suite without edits.
-var (
-	substrateMu  sync.Mutex
-	substrateReg = map[string]func() Substrate{}
-)
-
-// RegisterSubstrate registers a default-configuration constructor under name.
-// Registering a duplicate name panics: substrate names key bench artifacts
-// and conformance runs, so a silent overwrite would corrupt both.
-func RegisterSubstrate(name string, factory func() Substrate) {
-	substrateMu.Lock()
-	defer substrateMu.Unlock()
-	if _, dup := substrateReg[name]; dup {
-		panic(fmt.Sprintf("sched: substrate %q registered twice", name))
-	}
-	substrateReg[name] = factory
-}
-
-// SubstrateNames lists the registered substrates, sorted.
-func SubstrateNames() []string {
-	substrateMu.Lock()
-	defer substrateMu.Unlock()
-	names := make([]string, 0, len(substrateReg))
-	for name := range substrateReg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewSubstrate builds a registered substrate with its default configuration.
-// Fault injection (crashes, laggers) needs per-run options and goes through
-// the concrete constructors (NewNative) instead.
-func NewSubstrate(name string) (Substrate, error) {
-	substrateMu.Lock()
-	factory, ok := substrateReg[name]
-	substrateMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown substrate %q (have %v)", name, SubstrateNames())
-	}
-	return factory(), nil
-}
-
-func init() {
-	RegisterSubstrate("simulated", Simulated)
-	RegisterSubstrate("native", func() Substrate { return NewNative(NativeOptions{}) })
-}
