@@ -17,7 +17,7 @@ trap 'rm -rf "$TMP"' EXIT INT TERM
 go build -o "$TMP/consensus-sim" ./cmd/consensus-sim
 go build -o "$TMP/consensus-load" ./cmd/consensus-load
 
-for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson; do
+for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do
 	"$TMP/consensus-sim" -alg "$alg" -inputs 0,1,1,0 -substrate native \
 		-seed 42 -audit -audit-sample 1 >"$TMP/sim_out" ||
 		{ echo "native_smoke: $alg failed on the native substrate" >&2; cat "$TMP/sim_out" >&2; exit 1; }
@@ -34,4 +34,4 @@ grep -q '"substrate": *"native"' "$TMP/load.json" ||
 grep -q '"errors": *0' "$TMP/load.json" ||
 	{ echo "native_smoke: native load reported instance errors" >&2; cat "$TMP/load.json" >&2; exit 1; }
 
-echo "native_smoke: ok (5 protocols + load batch on native)"
+echo "native_smoke: ok (6 protocols + load batch on native)"
