@@ -162,6 +162,7 @@ func e5TotalWork() Experiment {
 				Title:   fmt.Sprintf("lockstep (round-robin) schedule: bounded vs exp-local, %d trials per n", lockTrials),
 				Columns: []string{"n", "bounded steps", "exp-local steps", "ratio exp/bounded"},
 			}
+			crossover := "none at these n"
 			for _, n := range lockNs {
 				n := n
 				// One batch interleaves both kinds: even slots run the bounded
@@ -193,9 +194,12 @@ func e5TotalWork() Experiment {
 				if mb > 0 {
 					ratio = ml / mb
 				}
+				if ratio > 1 && crossover == "none at these n" {
+					crossover = fmt.Sprintf("n=%d", n)
+				}
 				lt.Add(n, mb, ml, ratio)
 			}
-			lt.Note("the local-coin baseline overtakes (crossover ~n=8) and then explodes; the bounded protocol stays polynomial.")
+			lt.Note(fmt.Sprintf("crossover, the first n where the local-coin baseline takes more steps: %s; past it the baseline explodes and the bounded protocol stays polynomial.", crossover))
 			tables = append(tables, lt)
 			return tables
 		},
