@@ -20,14 +20,15 @@
 //     the online correctness oracle for substrates whose interleavings are
 //     not replayable.
 //   - faults: the crash and lagger fault matrix, emulated with the
-//     substrate-appropriate mechanism (adversary wrappers on the simulated
-//     engine, step-gate emulation on the native one). Substrates the suite
-//     does not know how to inject faults into skip this arm.
+//     substrate-appropriate mechanism (adversary wrappers on a serialized
+//     substrate, step-gate emulation on the native one). A substrate the
+//     suite cannot inject faults into fails this arm.
 package conformance
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/dsrepro/consensus/internal/core"
@@ -89,7 +90,7 @@ func Run(t *testing.T, sub sched.Substrate, opts Options) {
 	t.Run("agreement", func(t *testing.T) { runAgreement(t, sub, opts.AgreementSeeds) })
 	t.Run("budget", func(t *testing.T) { runBudget(t, sub) })
 	t.Run("audit", func(t *testing.T) { runAudit(t, sub, opts.AuditInstances) })
-	t.Run("faults", func(t *testing.T) { runFaults(t, sub.Name()) })
+	t.Run("faults", func(t *testing.T) { runFaults(t, sub) })
 }
 
 // execute runs one instance on sub. Substrates are stateless, so every run
@@ -276,14 +277,15 @@ func runAudit(t *testing.T, sub sched.Substrate, instances int) {
 	}
 }
 
-// faultSubstrate builds a substrate with the given crash map and lagger
-// emulation for the named backend, plus the matching adversary (simulated
-// substrates inject faults through the schedule; native ones at the step
-// gate). ok is false when the suite does not know how to inject faults into
-// this substrate.
-func faultSubstrate(name string, crashAt map[int]int64, victim, period int) (sched.Substrate, sched.Adversary, bool) {
-	switch name {
-	case "simulated":
+// faultSubstrate returns how runs on sub take the given crash map and
+// lagger. A serialized substrate (not NativeRegisters) takes them through
+// the schedule: sub itself runs them under the matching adversary. A native
+// one takes them at the step gate: the suite builds a native substrate with
+// the matching options, which stands in for sub only if sub is one of the
+// same type. ok is false for any other native substrate, which the suite
+// cannot inject faults into.
+func faultSubstrate(sub sched.Substrate, crashAt map[int]int64, victim, period int) (sched.Substrate, sched.Adversary, bool) {
+	if !sub.NativeRegisters() {
 		var adv sched.Adversary = sched.NewRoundRobin()
 		if period > 0 {
 			adv = sched.NewLagger(victim, period, 1)
@@ -291,21 +293,19 @@ func faultSubstrate(name string, crashAt map[int]int64, victim, period int) (sch
 		if len(crashAt) > 0 {
 			adv = sched.NewCrash(adv, crashAt)
 		}
-		return sched.Simulated(), adv, true
-	case "native":
-		opts := sched.NativeOptions{CrashAt: crashAt}
-		if period > 0 {
-			opts.LaggerVictim, opts.LaggerPeriod = victim, period
-		}
-		return sched.NewNative(opts), nil, true
-	default:
-		return nil, nil, false
+		return sub, adv, true
 	}
+	opts := sched.NativeOptions{CrashAt: crashAt}
+	if period > 0 {
+		opts.LaggerVictim, opts.LaggerPeriod = victim, period
+	}
+	nat := sched.NewNative(opts)
+	return nat, nil, reflect.TypeOf(sub) == reflect.TypeOf(nat)
 }
 
-func runFaults(t *testing.T, name string) {
-	if _, _, ok := faultSubstrate(name, nil, 0, 0); !ok {
-		t.Skipf("no fault injection for substrate %q", name)
+func runFaults(t *testing.T, sub sched.Substrate) {
+	if _, _, ok := faultSubstrate(sub, nil, 0, 0); !ok {
+		t.Fatalf("no fault injection for native substrate %q", sub.Name())
 	}
 	const n = 4
 	for _, kind := range Protocols {
@@ -319,13 +319,13 @@ func runFaults(t *testing.T, name string) {
 			crashStep = 3
 		}
 		for victim := 0; victim < n; victim++ {
-			sub, adv, _ := faultSubstrate(name, map[int]int64{victim: crashStep}, 0, 0)
+			faulty, adv, _ := faultSubstrate(sub, map[int]int64{victim: crashStep}, 0, 0)
 			out, err := core.Execute(kind, core.Config{}, core.ExecConfig{
 				Inputs:    mixedInputs(n, int64(victim)),
 				Seed:      int64(victim),
 				Adversary: adv,
 				MaxSteps:  core.StepBudget(kind, n),
-				Substrate: sub,
+				Substrate: faulty,
 			})
 			if err != nil {
 				t.Fatalf("%v crash victim=%d: %v", kind, victim, err)
@@ -347,7 +347,7 @@ func runFaults(t *testing.T, name string) {
 		}
 		// Lagger: starvation slows the victim but must never block decisions.
 		for _, period := range []int{16, 256} {
-			sub, adv, _ := faultSubstrate(name, nil, 1, period)
+			faulty, adv, _ := faultSubstrate(sub, nil, 1, period)
 			mon := audit.New(audit.Options{SampleEvery: 8})
 			out, err := core.Execute(kind, core.Config{}, core.ExecConfig{
 				Inputs:    mixedInputs(n, int64(period)),
@@ -355,7 +355,7 @@ func runFaults(t *testing.T, name string) {
 				Adversary: adv,
 				MaxSteps:  core.StepBudget(kind, n),
 				Monitor:   mon,
-				Substrate: sub,
+				Substrate: faulty,
 			})
 			if err != nil {
 				t.Fatalf("%v lagger period=%d: %v", kind, period, err)

@@ -249,7 +249,8 @@ func perProcInts(n int) [][]int {
 	return s
 }
 
-// fillEdgeMatrix is edgeMatrix into a reused header slice.
+// fillEdgeMatrix assembles the §4.3 counter matrix from a scanned view into
+// a reused header slice.
 func fillEdgeMatrix(mat [][]int, view []Entry) {
 	for i, ent := range view {
 		mat[i] = ent.Edge

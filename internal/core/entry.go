@@ -26,11 +26,7 @@
 // protocol additionally supports the footnote-5 FastDecide speedup.
 package core
 
-import (
-	"fmt"
-
-	"github.com/dsrepro/consensus/internal/strip"
-)
+import "github.com/dsrepro/consensus/internal/strip"
 
 // Pref values. Bottom is the paper's ⊥ ("undecided preference").
 const (
@@ -117,24 +113,6 @@ func normalizeUView(view []UEntry) {
 			view[j].Pref = Bottom
 		}
 	}
-}
-
-// edgeMatrix assembles the §4.3 counter matrix from a scanned view.
-func edgeMatrix(view []Entry) [][]int {
-	e := make([][]int, len(view))
-	for i, ent := range view {
-		e[i] = ent.Edge
-	}
-	return e
-}
-
-// decodeView decodes the distance graph from a scanned view.
-func decodeView(view []Entry, k int) (*strip.Graph, error) {
-	g, err := strip.Decode(edgeMatrix(view), k)
-	if err != nil {
-		return nil, fmt.Errorf("core: scanned view undecodable: %w", err)
-	}
-	return g, nil
 }
 
 // leadersAgree reports whether every leader in g holds the same non-Bottom

@@ -27,6 +27,8 @@ type Protocol interface {
 	// stack beneath it, replacing whatever a previous run installed. Call
 	// before the run starts.
 	install(instruments)
+	// installed returns what the last install installed.
+	installed() *instruments
 }
 
 // Kind names a protocol implementation.
@@ -143,7 +145,12 @@ type ExecConfig struct {
 	// advance) arrive in pid order, because both engines serialize body
 	// startup, so the whole event stream is deterministic. Recorder calls are
 	// totally ordered with happens-before edges (startup arrival signals,
-	// then token handoffs), so a recorder needs no locking of its own.
+	// then token handoffs), so a recorder needs no locking of its own. For
+	// the same reason a step-serialized run counts its events into a
+	// run-local view of the sink (obs.Sink.Local) with plain adds: the
+	// counters reach the registry in one flush when the run ends, so a
+	// mid-run scrape sees the run's counts then. Native runs count with
+	// atomic adds as they go.
 	Sink *obs.Sink
 
 	// Rendezvous selects the legacy rendezvous step engine (test-only; see
@@ -258,16 +265,24 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 	sink := ec.Sink
 	if ec.Monitor.Enabled() {
 		// Tee the monitor's bounded flight ring into the run's event stream so
-		// the most recent events are on hand for violation dumps, and bind the
-		// sink so violations land in the run's registry and trace.
+		// the most recent events are on hand for violation dumps.
 		ring := ec.Monitor.FlightRecorder()
 		if sink != nil {
 			sink = sink.WithRecorder(obs.Tee(sink.Recorder(), ring))
 		} else {
 			sink = obs.NewSink(ring)
 		}
-		ec.Monitor.BindSink(sink)
 	}
+	if !native {
+		// A step-serialized run counts into a run-local view of the sink,
+		// reusing the view this protocol's previous run installed, and
+		// publishes the counts once, after the end-of-instance checks, on
+		// every exit path.
+		sink = sink.Local(proto.installed().sink)
+		defer sink.Flush()
+	}
+	// Violations land in the run's registry and trace.
+	ec.Monitor.BindSink(sink)
 	// Install everything, nil and off included: a pooled instance may have
 	// last run with other instruments, on another substrate or under the
 	// other dispatch engine.

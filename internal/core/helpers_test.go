@@ -1,12 +1,51 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
+	"github.com/dsrepro/consensus/internal/strip"
 	"github.com/dsrepro/consensus/internal/walk"
 )
+
+// edgeMatrix assembles the §4.3 counter matrix from a scanned view.
+func edgeMatrix(view []Entry) [][]int {
+	e := make([][]int, len(view))
+	for i, ent := range view {
+		e[i] = ent.Edge
+	}
+	return e
+}
+
+// decodeView decodes the distance graph from a scanned view.
+func decodeView(view []Entry, k int) (*strip.Graph, error) {
+	g, err := strip.Decode(edgeMatrix(view), k)
+	if err != nil {
+		return nil, fmt.Errorf("core: scanned view undecodable: %w", err)
+	}
+	return g, nil
+}
+
+// PeekEntry returns the current register value of process j without a
+// scheduler step — a hook for protocol-aware ("strong") adversaries and
+// metrics. Returns the zero entry if the memory implementation does not
+// support peeking.
+func (u *Unbounded) PeekEntry(j int) UEntry {
+	if p, ok := u.mem.(interface{ PeekSlot(int) UEntry }); ok {
+		return p.PeekSlot(j)
+	}
+	return UEntry{}
+}
+
+// Rounds returns how many distinct rounds have been flipped (a space
+// accounting hook: the oracle's state grows with rounds).
+func (o *Oracle) Rounds() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.bits)
+}
 
 func TestEntryCloneIsDeep(t *testing.T) {
 	e := NewEntry(3, 2)

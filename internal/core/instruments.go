@@ -29,6 +29,9 @@ type instruments struct {
 	epoch bool
 }
 
+// installed implements Protocol for every protocol that embeds instruments.
+func (in *instruments) installed() *instruments { return in }
+
 // installMemory installs in on a scannable memory and every register beneath
 // it. Each memory implements the setters it has a use for; the payload
 // layout of its entries is declared by the protocol that owns them.

@@ -164,17 +164,6 @@ func (u *Unbounded) Reset() bool {
 	return true
 }
 
-// PeekEntry returns the current register value of process j without a
-// scheduler step — a hook for protocol-aware ("strong") adversaries and
-// metrics. Returns the zero entry if the memory implementation does not
-// support peeking.
-func (u *Unbounded) PeekEntry(j int) UEntry {
-	if p, ok := u.mem.(interface{ PeekSlot(int) UEntry }); ok {
-		return p.PeekSlot(j)
-	}
-	return UEntry{}
-}
-
 // Metrics implements Protocol.
 func (u *Unbounded) Metrics() Metrics {
 	m := u.counters.metrics()
@@ -408,14 +397,6 @@ func (o *Oracle) Flip(p *sched.Proc, round int64) int8 {
 	o.bits[round] = b
 	o.spc.AddWords(space.LayerWalk, 1) // the bit store grows one slot per round
 	return b
-}
-
-// Rounds returns how many distinct rounds have been flipped (a space
-// accounting hook: the oracle's state grows with rounds).
-func (o *Oracle) Rounds() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.bits)
 }
 
 // conflict flips the round's bit in one atomic step and adopts it.

@@ -15,13 +15,13 @@ func snapOf(obsv ...func(*Registry)) Snapshot {
 
 func TestMergeSnapshotsCountersAndGauges(t *testing.T) {
 	a := snapOf(func(r *Registry) {
-		r.countKind(ScanRetry)
-		r.countKind(ScanRetry)
+		r.countKindN(ScanRetry, 1)
+		r.countKindN(ScanRetry, 1)
 		r.GaugeMax(GaugeMaxRound, 5)
 	})
 	b := snapOf(func(r *Registry) {
-		r.countKind(ScanRetry)
-		r.countKind(WalkStep)
+		r.countKindN(ScanRetry, 1)
+		r.countKindN(WalkStep, 1)
 		r.GaugeMax(GaugeMaxRound, 3)
 	})
 	m := MergeSnapshots(a, b)
@@ -44,7 +44,7 @@ func TestMergeSnapshotsGroupingIndependent(t *testing.T) {
 		return snapOf(func(r *Registry) {
 			for _, v := range vals {
 				r.Hist(HistStepsToDecide).Observe(v)
-				r.countKind(CoreDecide)
+				r.countKindN(CoreDecide, 1)
 			}
 		})
 	}

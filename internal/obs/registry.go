@@ -170,13 +170,6 @@ var latSolveBounds = []int64{
 	10_000_000_000, 30_000_000_000, 100_000_000_000, // 10s .. 100s
 }
 
-// countKind increments the counter of kind k.
-func (r *Registry) countKind(k Kind) {
-	if k < numKinds {
-		r.kinds[k].Add(1)
-	}
-}
-
 // countKindN adds n to the counter of kind k (batched counting).
 func (r *Registry) countKindN(k Kind, n int64) {
 	if k < numKinds {

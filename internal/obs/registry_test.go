@@ -7,10 +7,10 @@ import (
 
 func TestRegistryCounters(t *testing.T) {
 	r := NewRegistry()
-	r.countKind(ScanRetry)
-	r.countKind(ScanRetry)
-	r.countKind(ScanClean)
-	r.countKind(CoreDecide)
+	r.countKindN(ScanRetry, 1)
+	r.countKindN(ScanRetry, 1)
+	r.countKindN(ScanClean, 1)
+	r.countKindN(CoreDecide, 1)
 	if c := r.KindCount(ScanRetry); c != 2 {
 		t.Fatalf("ScanRetry = %d, want 2", c)
 	}
@@ -34,7 +34,7 @@ func TestRegistryGaugeMax(t *testing.T) {
 
 func TestSnapshotOmitsZeros(t *testing.T) {
 	r := NewRegistry()
-	r.countKind(WalkStep)
+	r.countKindN(WalkStep, 1)
 	r.GaugeMax(GaugeMaxRound, 4)
 	r.Hist(HistScanRetries).Observe(1)
 	s := r.Snapshot()
@@ -54,10 +54,10 @@ func TestSnapshotOmitsZeros(t *testing.T) {
 
 func TestSnapshotLayerCounts(t *testing.T) {
 	r := NewRegistry()
-	r.countKind(RegSWMRRead)
-	r.countKind(RegSWMRWrite)
-	r.countKind(Reg2WRead)
-	r.countKind(CoreDecide)
+	r.countKindN(RegSWMRRead, 1)
+	r.countKindN(RegSWMRWrite, 1)
+	r.countKindN(Reg2WRead, 1)
+	r.countKindN(CoreDecide, 1)
 	lc := r.Snapshot().LayerCounts()
 	if lc["register"] != 3 || lc["core"] != 1 {
 		t.Fatalf("LayerCounts = %v", lc)

@@ -1,14 +1,22 @@
 package obs
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestNilSinkIsSafe(t *testing.T) {
 	var s *Sink
 	// Every method must be a no-op on a nil receiver.
 	s.Emit(Event{Kind: CoreDecide})
 	s.Count(SchedGrant)
+	s.CountN(SchedGrant, 3)
 	s.Observe(HistScanRetries, 3)
 	s.GaugeMax(GaugeMaxAbsCoin, 9)
+	s.Flush()
+	if s.Local(nil) != nil {
+		t.Fatal("a nil sink has a run-local view")
+	}
 	if s.Enabled() || s.Tracing() {
 		t.Fatal("nil sink reports enabled/tracing")
 	}
@@ -92,6 +100,16 @@ func TestEmitZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("metrics-only sink: %v allocs per emit, want 0", n)
 	}
+
+	view := NewSink(nil).Local(nil)
+	if n := testing.AllocsPerRun(1000, func() {
+		view.Emit(Event{Step: 1, Pid: 0, Kind: RegSWMRRead, Value: 3})
+		view.Count(SchedGrant)
+		view.CountN(SchedGrant, 2)
+		view.Flush()
+	}); n != 0 {
+		t.Errorf("run-local view: %v allocs per emit and flush, want 0", n)
+	}
 }
 
 // TestPhaseSpanZeroAlloc extends the zero-cost guarantee to the phase-span
@@ -118,5 +136,54 @@ func TestPhaseSpanZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: %v allocs per span cycle, want 0", tc.name, n)
 		}
+	}
+}
+
+// TestLocalViewFlushMatchesShared pins the run-local view's contract: the
+// same Emit, Count and CountN calls, once flushed, leave the same Snapshot as
+// on the shared sink, and nothing reaches the registry before the flush. The
+// recorder, gauges and histograms are the shared sink's own.
+func TestLocalViewFlushMatchesShared(t *testing.T) {
+	calls := func(s *Sink) {
+		s.Emit(Event{Kind: RegSWMRRead})
+		s.Emit(Event{Kind: RegSWMRRead})
+		s.Emit(Event{Kind: CoreDecide, Value: 1})
+		s.Count(ScanHandshake)
+		s.CountN(SchedGrant, 40)
+		s.CountN(SchedGrant, 0)
+		s.Observe(HistScanRetries, 2)
+		s.GaugeMax(GaugeMaxAbsCoin, 5)
+	}
+	want := NewSink(nil)
+	calls(want)
+
+	ring := NewRing(8)
+	shared := NewSink(ring)
+	view := shared.Local(nil)
+	calls(view)
+	if view.Registry() != shared.Registry() || view.Recorder() != shared.Recorder() {
+		t.Fatal("a view must share its sink's registry and recorder")
+	}
+	if got := shared.Registry().KindCount(RegSWMRRead); got != 0 {
+		t.Fatalf("view counted %d SWMR reads into the registry before Flush", got)
+	}
+	if ring.Len() != 3 {
+		t.Fatalf("view recorded %d events, want 3", ring.Len())
+	}
+	view.Flush()
+	if got, w := shared.Registry().Snapshot(), want.Registry().Snapshot(); !reflect.DeepEqual(got, w) {
+		t.Fatalf("flushed view snapshot = %+v, want %+v", got, w)
+	}
+	view.Flush() // a second flush adds nothing
+	if got, w := shared.Registry().Snapshot(), want.Registry().Snapshot(); !reflect.DeepEqual(got, w) {
+		t.Fatalf("second Flush changed the snapshot: %+v, want %+v", got, w)
+	}
+
+	// A flushed view is reused, block and all, for the next run.
+	if again := shared.Local(view); again != view {
+		t.Fatal("Local did not reuse the flushed view")
+	}
+	if other := NewSink(nil).Local(shared); other == shared || other.Registry() == shared.Registry() {
+		t.Fatal("Local reused a shared sink as a view")
 	}
 }

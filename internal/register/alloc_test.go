@@ -46,3 +46,53 @@ func TestRegisterOpsZeroAlloc(t *testing.T) {
 		t.Error("metrics-only sink did not count SWMR reads")
 	}
 }
+
+// TestSerializedRegisterOpsZeroAlloc is TestRegisterOpsZeroAlloc on the step
+// scheduler, whose processes do not race: the lock-free paths, the one-copy
+// toggled reads and a run-local sink view allocate nothing either.
+func TestSerializedRegisterOpsZeroAlloc(t *testing.T) {
+	swmr := NewSWMR(0, 0)
+	tog := NewToggledSWMR(0, 0)
+	d2w := NewDirect2W(0, 1, false)
+	bloom := NewBloom2W(0, 1, false)
+	mrmw := NewDirectMRMW(0, false)
+	var dst int
+	shared := obs.NewSink(nil)
+	view := shared.Local(nil)
+	for _, mode := range []struct {
+		name string
+		sink *obs.Sink
+	}{{"no sink", nil}, {"metrics-only sink", shared}, {"run-local view", view}} {
+		for _, r := range []SinkSetter{swmr, tog, d2w, bloom, mrmw} {
+			r.SetSink(mode.sink)
+		}
+		_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
+			if p.Races() {
+				t.Fatalf("%s: a serialized process reports racing steps", mode.name)
+			}
+			if n := testing.AllocsPerRun(500, func() {
+				swmr.Write(p, 7)
+				_ = swmr.Read(p)
+				tog.Write(p, 3)
+				_ = tog.Read(p)
+				_ = tog.ReadTo(p, &dst)
+				_ = tog.ReadTo(p, nil)
+				d2w.Write(p, true)
+				_ = d2w.Read(p)
+				bloom.Write(p, true)
+				_ = bloom.Read(p)
+				mrmw.Write(p, 1)
+				_ = mrmw.Read(p)
+			}); n != 0 {
+				t.Errorf("%s: %v allocs per register-op batch, want 0", mode.name, n)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", mode.name, err)
+		}
+	}
+	view.Flush()
+	if got := shared.Registry().KindCount(obs.RegSWMRRead); got == 0 {
+		t.Error("the run-local view's SWMR reads did not reach the registry")
+	}
+}

@@ -18,8 +18,9 @@ import (
 // and no per-process structure; anonymity is enforced by construction in the
 // protocol that uses it.
 //
-// Storage mirrors SWMR: a mutex-guarded value under the deterministic
-// substrate, a padded atomic cell in native mode (see SWMR.SetNative).
+// Storage mirrors SWMR: a plain value under the deterministic substrate,
+// guarded by the mutex only for racing processes, and a padded atomic cell in
+// native mode (see SWMR.SetNative).
 type DirectMRMW[T any] struct {
 	fp     int64 // footprint key for commuting dispatch
 	sink   *obs.Sink
@@ -71,6 +72,9 @@ func (r *DirectMRMW[T]) Read(p *sched.Proc) T {
 	if r.native {
 		return *r.cell.v.Load()
 	}
+	if !p.Races() {
+		return r.v
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.v
@@ -86,6 +90,10 @@ func (r *DirectMRMW[T]) Write(p *sched.Proc, v T) {
 		c := new(T)
 		*c = v
 		r.cell.v.Store(c)
+		return
+	}
+	if !p.Races() {
+		r.v = v
 		return
 	}
 	r.mu.Lock()

@@ -8,10 +8,12 @@
 // Every register operation counts as one atomic step of the owning process:
 // implementations call Proc.Step before touching shared state, so under the
 // step scheduler (package sched) register operations serialize exactly at the
-// scheduler's grant points. On the simulated substrate a mutex guards the
-// stored value; the step scheduler already serializes every access, so the
-// mutex is never contended and costs one uncontended Lock/Unlock pair per
-// operation.
+// scheduler's grant points. The simulated storage is a plain field: the step
+// scheduler orders every access through coroutine switches or channel
+// handoffs, so an operation reads or writes it directly. A mutex beside it
+// guards only racing processes' use of it (sched.Proc.Races: goroutines of
+// the native substrate driving simulated storage), plus Peek and Reset, which
+// have no process to ask.
 //
 // On the native substrate (sched.NewNative) registers switch to lock-free
 // storage instead: SetNative(true) moves the value into a cache-line-padded
@@ -81,8 +83,8 @@ type NativeSetter interface {
 // pointer to an immutable snapshot of the value, padded on both sides so two
 // registers adjacent in memory never share a cache line. Each Write
 // publishes a fresh snapshot allocation — the price of generic atomicity —
-// which is why the deterministic substrate keeps its allocation-free mutex
-// path instead of unifying on this one.
+// which is why the deterministic substrate keeps its allocation-free plain
+// storage instead of unifying on this one.
 type natCell[T any] struct {
 	_ [64]byte
 	v atomic.Pointer[T]
@@ -127,7 +129,7 @@ func (r *SWMR[T]) SetSpace(m *space.Meter, l space.Layer) { r.space.set(m, l, 1)
 
 // SetNative switches the storage mode (call before the run starts, never
 // while processes are active): true moves the current value into the padded
-// atomic cell for the native substrate, false folds it back into the mutex
+// atomic cell for the native substrate, false folds it back into the plain
 // storage for the deterministic one.
 func (r *SWMR[T]) SetNative(on bool) {
 	if on == r.native {
@@ -142,13 +144,22 @@ func (r *SWMR[T]) SetNative(on bool) {
 	r.native = on
 }
 
-// Read returns the register's current value. One atomic step.
-func (r *SWMR[T]) Read(p *sched.Proc) T {
+// readStep takes a read's atomic step: the footprint, the Step and the
+// event.
+func (r *SWMR[T]) readStep(p *sched.Proc) {
 	p.DeclareRead(r.fp)
 	p.Step()
 	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegSWMRRead, Value: int64(r.owner)})
+}
+
+// Read returns the register's current value. One atomic step.
+func (r *SWMR[T]) Read(p *sched.Proc) T {
+	r.readStep(p)
 	if r.native {
 		return *r.cell.v.Load()
+	}
+	if !p.Races() {
+		return r.v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,10 +179,14 @@ func (r *SWMR[T]) Write(p *sched.Proc, v T) {
 	if r.native {
 		// Copy via new(T) rather than &v: taking the parameter's address
 		// would make it escape on the simulated path too, breaking the
-		// zero-alloc guarantee the mutex mode keeps.
+		// zero-alloc guarantee the plain storage keeps.
 		c := new(T)
 		*c = v
 		r.cell.v.Store(c)
+		return
+	}
+	if !p.Races() {
+		r.v = v
 		return
 	}
 	r.mu.Lock()
@@ -253,13 +268,40 @@ func (r *ToggledSWMR[T]) SetMonitor(m *audit.Monitor, id int) {
 
 // Read returns the current value and toggle bit. One atomic step.
 func (r *ToggledSWMR[T]) Read(p *sched.Proc) Toggled[T] {
+	var v Toggled[T]
+	v.Toggle = r.ReadTo(p, &v.Val)
+	return v
+}
+
+// ReadTo is Read that copies the value straight to *dst, once, and returns
+// the toggle bit; a nil dst keeps only the toggle bit. One atomic step. On a
+// racing process the copy is made under the register's mutex, into dst,
+// which the caller owns.
+func (r *ToggledSWMR[T]) ReadTo(p *sched.Proc, dst *T) bool {
 	if !r.mon.AuditRegisters() {
-		return r.reg.Read(p)
+		return r.readTo(p, dst)
 	}
 	start := p.Now()
-	v := r.reg.Read(p)
-	r.mon.RegOp(r.regID, p.ID(), false, toggleInt(v.Toggle), start, p.Now())
-	return v
+	tog := r.readTo(p, dst)
+	r.mon.RegOp(r.regID, p.ID(), false, toggleInt(tog), start, p.Now())
+	return tog
+}
+
+func (r *ToggledSWMR[T]) readTo(p *sched.Proc, dst *T) bool {
+	reg := r.reg
+	reg.readStep(p)
+	v := &reg.v
+	switch {
+	case reg.native:
+		v = reg.cell.v.Load()
+	case p.Races():
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+	}
+	if dst != nil {
+		*dst = v.Val
+	}
+	return v.Toggle
 }
 
 // Write stores v with a flipped toggle bit. One atomic step.
@@ -371,6 +413,9 @@ func (r *Direct2W) Read(p *sched.Proc) bool {
 	if r.native {
 		return r.cell.v.Load()
 	}
+	if !p.Races() {
+		return r.v
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.v
@@ -385,6 +430,10 @@ func (r *Direct2W) Write(p *sched.Proc, v bool) {
 	r.space.markWrite()
 	if r.native {
 		r.cell.v.Store(v)
+		return
+	}
+	if !p.Races() {
+		r.v = v
 		return
 	}
 	r.mu.Lock()

@@ -280,6 +280,86 @@ func TestFreeRunningSWMRIsRaceFree(t *testing.T) {
 	}
 }
 
+// The free-running tests below drive the registers' plain (non-native)
+// storage from the native substrate's racing goroutines: every operation then
+// takes the racing path under the register's mutex, which -race checks.
+
+func TestFreeRunningDirect2WIsRaceFree(t *testing.T) {
+	reg := NewDirect2W(0, 1, false)
+	_, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: 2, Seed: 5}, func(p *sched.Proc) {
+		for k := 0; k < 200; k++ {
+			reg.Write(p, k%2 == p.ID())
+			_ = reg.Read(p)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+func TestFreeRunningDirectMRMWIsRaceFree(t *testing.T) {
+	reg := NewDirectMRMW(0, false)
+	_, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: 4, Seed: 5}, func(p *sched.Proc) {
+		for k := 0; k < 200; k++ {
+			reg.Write(p, p.ID()*1000+k)
+			if v := reg.Read(p); v < 0 || v >= 4000 {
+				t.Errorf("p%d read unwritten value %d", p.ID(), v)
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// pair is a two-word payload: a torn copy would show unequal halves.
+type pair struct{ a, b int }
+
+func TestFreeRunningToggledReadToIsRaceFree(t *testing.T) {
+	reg := NewToggledSWMR(0, pair{})
+	_, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: 4, Seed: 5}, func(p *sched.Proc) {
+		var dst pair // reader-owned scratch
+		last := -1
+		for k := 1; k <= 200; k++ {
+			if p.ID() == 0 {
+				reg.Write(p, pair{k, k})
+				continue
+			}
+			_ = reg.ReadTo(p, nil)
+			_ = reg.ReadTo(p, &dst)
+			if dst.a != dst.b || dst.a < last {
+				t.Errorf("p%d read torn or stale value %+v after %d", p.ID(), dst, last)
+				return
+			}
+			last = dst.a
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+func TestToggledReadToMatchesRead(t *testing.T) {
+	_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
+		r := NewToggledSWMR(0, pair{})
+		for k := 1; k <= 4; k++ {
+			r.Write(p, pair{k, -k})
+			want := r.Read(p)
+			var got pair
+			if tog := r.ReadTo(p, &got); tog != want.Toggle || got != want.Val {
+				t.Errorf("ReadTo = (%v, %+v), Read = %+v", tog, got, want)
+			}
+			if tog := r.ReadTo(p, nil); tog != want.Toggle {
+				t.Errorf("ReadTo(nil) toggle = %v, want %v", tog, want.Toggle)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1

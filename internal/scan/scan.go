@@ -120,8 +120,8 @@ func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 		a.ops[i] = arrowOps[T]{
 			a:   a,
 			i:   i,
-			v1:  make([]register.Toggled[T], n),
-			v2:  make([]register.Toggled[T], n),
+			t1:  make([]bool, n),
+			t2:  make([]bool, n),
 			out: make([]T, n),
 		}
 		for j := 0; j < n; j++ {
@@ -135,17 +135,19 @@ func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 	return a
 }
 
-// arrowOps is process i's scan and write state on an Arrow. v1/v2/out are
-// its double-collect and result buffers, so a steady-state scan performs
-// zero allocations (the returned view is reused; see Memory.Scan); the other
-// fields are what a classic pass's ops record for the process code between
-// its runs. The state belongs to i: it is used by i's body and, during an
-// inline step-sequence op of i, by the token holder's coroutine, never
-// concurrently. The three runs are the named types below.
+// arrowOps is process i's scan and write state on an Arrow. t1/t2 hold the
+// toggle bits of its two collects and out is its result buffer: the first
+// collect keeps only toggle bits, and the second copies each value once,
+// straight into out. A steady-state scan performs zero allocations (the
+// returned view is reused; see Memory.Scan); the other fields are what a
+// classic pass's ops record for the process code between its runs. The state
+// belongs to i: it is used by i's body and, during an inline step-sequence op
+// of i, by the token holder's coroutine, never concurrently. The three runs
+// are the named types below.
 type arrowOps[T any] struct {
 	a             *Arrow[T]
 	i             int
-	v1, v2        []register.Toggled[T]
+	t1, t2        []bool
 	out           []T
 	firstMismatch int  // first slot whose toggles differ between the collects, or n
 	dirtyAt       int  // first dirty slot of the arrow re-read, or -1
@@ -167,9 +169,10 @@ func slot(k, i int) int {
 }
 
 // Op implements sched.Seq: ops [0, n-1) clear the arrows, [n-1, 2(n-1)) are
-// the first collect, and the rest the second collect fused with the toggle
-// comparison and the view copy. Both are register-local (no scheduler step),
-// so folding them in makes a clean scan one pass over the collect buffers.
+// the first collect, which keeps only the toggle bits, and the rest the second
+// collect, which reads each value straight into the view, fused with the
+// toggle comparison (register-local, no scheduler step), so a clean scan
+// makes one pass over the collect buffers.
 func (r *collectRun[T]) Op(p *sched.Proc, k int) bool {
 	a, i, m := r.a, r.i, r.a.n-1
 	switch {
@@ -177,12 +180,11 @@ func (r *collectRun[T]) Op(p *sched.Proc, k int) bool {
 		a.arrows[i][slot(k, i)].Write(p, false)
 	case k < 2*m:
 		j := slot(k-m, i)
-		r.v1[j] = a.vals[j].Read(p)
+		r.t1[j] = a.vals[j].ReadTo(p, nil)
 	default:
 		j := slot(k-2*m, i)
-		r.v2[j] = a.vals[j].Read(p)
-		r.out[j] = r.v2[j].Val
-		if r.firstMismatch == a.n && r.v1[j].Toggle != r.v2[j].Toggle {
+		r.t2[j] = a.vals[j].ReadTo(p, &r.out[j])
+		if r.firstMismatch == a.n && r.t1[j] != r.t2[j] {
 			r.firstMismatch = j
 		}
 	}
@@ -363,7 +365,7 @@ func (a *Arrow[T]) Scan(p *sched.Proc) []T {
 	}
 	i := p.ID()
 	r, m := &a.ops[i], a.n-1
-	v1, v2, out := r.v1, r.v2, r.out
+	t1, t2, out := r.t1, r.t2, r.out
 	var tries, passStart int64
 	for {
 		if a.prof.Enabled() {
@@ -386,7 +388,7 @@ func (a *Arrow[T]) Scan(p *sched.Proc) []T {
 				// scan whose collects disagree is a torn double collect.
 				firstBad := -1
 				for j := 0; j < a.n; j++ {
-					if j != i && v1[j].Toggle != v2[j].Toggle {
+					if j != i && t1[j] != t2[j] {
 						firstBad = j
 						break
 					}
@@ -434,19 +436,19 @@ const (
 // pass over all n-1 registers followed by a full arrow check.
 //
 // Soundness (the P1–P3 argument, spelled out in DESIGN.md §16): for every
-// register j the pair (v1[j], v2[j]) is a valid per-register double collect —
-// both reads happen after arrow (i,j) was last cleared, and the final arrow
-// check reads it clear, so at most one write of j completed between them and
-// the toggle comparison is decisive (P1). All v1 reads precede the unified
-// pass and all v2 reads are inside it, so the instant U just before the
-// unified pass's first read lies in every register's constancy window: the
-// view is the memory state at U, a true snapshot (P2), and scans linearize at
-// their U instants (P3). The first pass is step-identical to the classic path
+// register j the pair of reads behind (t1[j], t2[j]) is a valid per-register
+// double collect — both reads happen after arrow (i,j) was last cleared, and
+// the final arrow check reads it clear, so at most one write of j completed
+// between them and the toggle comparison is decisive (P1). All first reads
+// precede the unified pass and all second reads are inside it, so the instant
+// U just before the unified pass's first read lies in every register's
+// constancy window: the view is the memory state at U, a true snapshot (P2),
+// and scans linearize at their U instants (P3). The first pass is step-identical to the classic path
 // on success; only retry passes cost differently (≈ 2(n-1)+2k instead of
 // 4(n-1) for k tripped registers).
 func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 	i := p.ID()
-	v1, v2, out := a.ops[i].v1, a.ops[i].v2, a.ops[i].out
+	t1, t2, out := a.ops[i].t1, a.ops[i].t2, a.ops[i].out
 	trip, arr, hot := a.epTrip[i], a.epArrow[i], a.epHot[i]
 	for j := 0; j < a.n; j++ {
 		// First pass: every register is unconfirmed, every arrow needs a clear.
@@ -471,16 +473,16 @@ func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 		// cheaper than failing the pass and re-paying the unified sweep.
 		for j := 0; j < a.n; j++ {
 			if !trip[j] {
-				continue // v1[j] keeps the confirmed read from the previous pass
+				continue // t1[j] keeps the confirmed read from the previous pass
 			}
-			v1[j] = a.vals[j].Read(p)
+			t1[j] = a.vals[j].ReadTo(p, nil)
 			if hot[j] >= hotTrips {
 				for s := 0; s < maxHotSettle; s++ {
-					nv := a.vals[j].Read(p)
-					if nv.Toggle == v1[j].Toggle {
+					nt := a.vals[j].ReadTo(p, nil)
+					if nt == t1[j] {
 						break
 					}
-					v1[j] = nv
+					t1[j] = nt
 				}
 			}
 		}
@@ -490,9 +492,8 @@ func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 			if j == i {
 				continue
 			}
-			v2[j] = a.vals[j].Read(p)
-			out[j] = v2[j].Val
-			trip[j] = v1[j].Toggle != v2[j].Toggle && !MutTornScan.Load()
+			t2[j] = a.vals[j].ReadTo(p, &out[j])
+			trip[j] = t1[j] != t2[j] && !MutTornScan.Load()
 		}
 		// Full arrow check — every slot, no prefix short-circuit: a retry pass
 		// must know the complete tripped set, or an unread dirty arrow would be
@@ -510,11 +511,11 @@ func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 		}
 		if firstTrip < 0 {
 			if a.mon.Enabled() {
-				// Independent handshake audit, as on the classic path: v1/v2
+				// Independent handshake audit, as on the classic path: t1/t2
 				// hold each register's two window reads.
 				firstBad := -1
 				for j := 0; j < a.n; j++ {
-					if j != i && v1[j].Toggle != v2[j].Toggle {
+					if j != i && t1[j] != t2[j] {
 						firstBad = j
 						break
 					}
@@ -539,7 +540,7 @@ func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 				hot[j]++
 			} else {
 				hot[j] = 0
-				v1[j] = v2[j]
+				t1[j] = t2[j]
 			}
 		}
 		a.retries[i].Add(1)

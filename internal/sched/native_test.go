@@ -139,3 +139,33 @@ func TestSimulatedSubstrateMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestProcRacesOnlyOnNative pins which gates race: a native process's steps
+// race the other goroutines', while every serialized engine (sequential,
+// commuting, rendezvous) orders steps itself.
+func TestProcRacesOnlyOnNative(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(Config, func(*Proc)) (Result, error)
+		cfg  Config
+		want bool
+	}{
+		{"sequential", Run, Config{N: 2}, false},
+		{"commuting", Run, Config{N: 2, Commuting: true}, false},
+		{"rendezvous", Run, Config{N: 2, Rendezvous: true}, false},
+		{"native", NewNative(NativeOptions{}).Run, Config{N: 2}, true},
+	} {
+		var wrong atomic.Int64
+		if _, err := c.run(c.cfg, func(p *Proc) {
+			p.Step()
+			if p.Races() != c.want {
+				wrong.Add(1)
+			}
+		}); err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		if wrong.Load() != 0 {
+			t.Errorf("%s: Races() != %v for %d processes", c.name, c.want, wrong.Load())
+		}
+	}
+}

@@ -98,6 +98,11 @@ type Proc struct {
 	fpKey   int64
 	fpWrite bool
 
+	// races is fixed by the gate: true only on the native gate, whose
+	// processes step as free-running goroutines (see Races). It sits in the
+	// padding after fpWrite, which keeps a Proc at 64 bytes.
+	races bool
+
 	// opGrant is set while the grant for a step-sequence op has been issued
 	// ahead of the op's Step: that Step takes it without dispatching, and
 	// until then Now reports opInv, the step at which the op was invoked.
@@ -120,6 +125,13 @@ func (p *Proc) Rand() *rand.Rand { return p.rng }
 
 // Steps reports how many atomic steps this process has performed so far.
 func (p *Proc) Steps() int64 { return p.steps }
+
+// Races reports whether this process's steps race other processes' in real
+// time: true only on the native substrate, whose processes run as plain
+// goroutines with no arbiter. Every other gate serializes steps through
+// coroutine switches or channel handoffs, so an access between one Step and
+// the next needs no lock of its own.
+func (p *Proc) Races() bool { return p.races }
 
 // Now returns the global step count at the time of the call. It is used by
 // instrumentation (history recording) to timestamp operation intervals; it is
@@ -206,10 +218,12 @@ func (p *Proc) DeclareWrite(key int64) { p.fpKey, p.fpWrite = key, true }
 // engine and substrate so a seed reproduces identical private coins
 // everywhere.
 func newProc(id int, seed int64, g gate) *Proc {
+	_, races := g.(*nativeGate)
 	return &Proc{
-		id:   id,
-		rng:  rand.New(rand.NewSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
-		gate: g,
+		id:    id,
+		rng:   rand.New(rand.NewSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
+		gate:  g,
+		races: races,
 	}
 }
 
@@ -248,8 +262,8 @@ type Config struct {
 	// Sink, if non-nil, receives scheduler-level accounting (sched.grant
 	// counts) in the unified observability registry. Grants are counted, not
 	// recorded as events — one event per atomic step would drown any trace.
-	// The dispatch engine batches the counter updates (final totals are
-	// exact; mid-run registry scrapes may lag by at most grantFlushBatch).
+	// The dispatch engine and the native substrate add a run's grants in one
+	// update when the run ends, so a mid-run registry scrape sees them then.
 	Sink *obs.Sink
 
 	// Rendezvous selects the legacy per-step rendezvous engine (a dedicated
@@ -290,11 +304,6 @@ type Result struct {
 	Finished []bool
 }
 
-// grantFlushBatch is how many sched.grant counts the dispatch engine
-// accumulates locally before flushing them into the registry in one atomic
-// add. Totals are exact at run end; only mid-run scrapes can lag.
-const grantFlushBatch = 256
-
 // procSlot is one process's scheduling state in the dispatcher. Only the
 // token holder touches a run's slots.
 type procSlot struct {
@@ -333,9 +342,8 @@ type dispatcher struct {
 	isLive   []bool // isLive[pid]: O(1) validation of adversary picks
 	finished []bool
 
-	steps         int64
-	grantsPending int64
-	next          int // pid Run resumes when the running process yields; -1 ends the run
+	steps int64
+	next  int // pid Run resumes when the running process yields; -1 ends the run
 
 	// err halts the run. A dispatch that sets it grants no one, so next stays
 	// -1 and Run's loop ends; Run then stops every coroutine, and each parked
@@ -520,19 +528,14 @@ func (d *dispatcher) refuse(pick int) {
 }
 
 // issue grants the next step to pid: it charges pid's wait, advances the
-// clock, counts the grant and reports it to OnStep. It reports whether pid is
-// the caller; otherwise it records pid as the process Run resumes next.
+// clock and reports the grant to OnStep. It reports whether pid is the
+// caller; otherwise it records pid as the process Run resumes next. Run
+// counts the grants, d.steps of them, when the run ends.
 func (d *dispatcher) issue(pid, self int) bool {
 	s := &d.slots[pid]
 	s.waitSteps += d.steps - s.enqueuedAt
 	d.steps++
 	s.perProc++
-	if d.sink != nil {
-		d.grantsPending++
-		if d.grantsPending >= grantFlushBatch {
-			d.flushGrants()
-		}
-	}
 	if d.onStep != nil {
 		d.onStep(pid, d.steps)
 	}
@@ -541,14 +544,6 @@ func (d *dispatcher) issue(pid, self int) bool {
 	}
 	d.next = pid
 	return false
-}
-
-// flushGrants publishes the locally batched sched.grant count.
-func (d *dispatcher) flushGrants() {
-	if d.grantsPending > 0 {
-		d.sink.CountN(obs.SchedGrant, d.grantsPending)
-		d.grantsPending = 0
-	}
 }
 
 // done records a completed body. A process that has taken at least one step
@@ -655,7 +650,7 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 		d.next = -1
 		resume[pid]()
 	}
-	d.flushGrants()
+	d.sink.CountN(obs.SchedGrant, d.steps)
 	if d.badPick != "" {
 		panic(d.badPick)
 	}

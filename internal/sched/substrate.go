@@ -19,7 +19,8 @@ type Substrate interface {
 	// NativeRegisters reports whether process goroutines race in real time,
 	// requiring registers to use their lock-free sync/atomic storage and
 	// forfeiting byte-determinism. False means steps are serialized by a
-	// grant arbiter and the mutex storage is uncontended.
+	// grant arbiter, so registers read and write their plain storage with no
+	// lock (see Proc.Races).
 	NativeRegisters() bool
 	// Run executes body once per process under this substrate, blocking
 	// until every process finished, crashed, or the step budget tripped.
