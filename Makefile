@@ -11,8 +11,9 @@ all: vet test build
 # and the -race pass drives the dispatch engine's equivalence suite, so the
 # direct-dispatch run loop is race-checked on every CI run — including the
 # audit monitor's probe paths), a benchmark smoke pass (compile + a short run
-# of the solve, scheduler-engine and register-operation microbenchmarks,
-# catching benchmarks broken by refactors), an audit smoke pass (every protocol under the online
+# of the solve, scheduler-engine, register-operation and adversary-consult
+# microbenchmarks, catching benchmarks broken by refactors), an audit smoke
+# pass (every protocol under the online
 # invariant monitor with sampled probes escalated; consensus-sim exits
 # non-zero if any probe fires), the live-telemetry smoke test, and a
 # benchdiff self-compare to keep the regression gate runnable, and the
@@ -41,7 +42,7 @@ all: vet test build
 ci: fmt-check vet build
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) perfbench-smoke
-	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep|BenchmarkRegisterOps' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/
+	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep|BenchmarkRegisterOps|BenchmarkAdversaryNext' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done

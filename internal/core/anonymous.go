@@ -192,7 +192,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 	if a.prof.Enabled() {
 		span.Observe(a.prof)
 	}
-	a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Detail: "pref=" + prefString(v)})
+	emitDetail(a.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart}, "pref=", prefString(v))
 
 	for r := int64(1); ; r++ {
 		rd := a.round(r)
@@ -208,7 +208,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 		} else if p.Rand().Intn(2) == 0 {
 			rd.s.Write(p, v)
 			a.flips[i].Add(1)
-			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: r, Detail: "anon=" + prefString(v)})
+			emitDetail(a.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: r}, "anon=", prefString(v))
 		} else {
 			a.flips[i].Add(1)
 			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: r, Detail: "anon=skip"})
@@ -230,7 +230,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 			// Conflict seen before proposing: adopt the proposal register.
 			if d := rd.d.Read(p); d != Bottom {
 				v = d
-				a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: r, Detail: "adopt=" + prefString(v)})
+				emitDetail(a.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: r}, "adopt=", prefString(v))
 			}
 			a.prefs[i].Store(int64(v))
 			continue
@@ -240,7 +240,7 @@ func (a *Anonymous) Run(p *sched.Proc, input int) int {
 		if other.Read(p) == 0 {
 			span.To(a.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 			a.sink.Observe(obs.HistStepsToDecide, p.Steps())
-			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: r, Detail: prefString(v)})
+			emitDetail(a.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: r}, prefString(v))
 			span.Finish(a.sink, i, p.Now(), p.Steps())
 			return int(v)
 		}

@@ -379,8 +379,8 @@ func (b *Bounded) adopt(p *sched.Proc, span *obs.PhaseSpan, st Entry, view []Ent
 	st.Pref = v
 	b.mem.Write(p, st)
 	if old != v {
-		b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load(),
-			Detail: prefString(old) + "->" + prefString(v)})
+		emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load()},
+			prefString(old), "->", prefString(v))
 	}
 	span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 	return st
@@ -419,7 +419,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 	st = b.inc(p, st, view)
 	st.Pref = int8(input)
 	b.mem.Write(p, st)
-	b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: b.rounds[i].Load(), Detail: "pref=" + prefString(st.Pref)})
+	emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: b.rounds[i].Load()}, "pref=", prefString(st.Pref))
 	span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 
 	for {
@@ -448,7 +448,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 					v := view[j].Pref
 					span.To(b.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 					b.sink.Observe(obs.HistStepsToDecide, p.Steps())
-					b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load(), Detail: prefString(v) + " (fast)"})
+					emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load()}, prefString(v), " (fast)")
 					span.Finish(b.sink, i, p.Now(), p.Steps())
 					return int(v)
 				}
@@ -465,7 +465,7 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 				b.mem.Write(p, st)
 			}
 			b.sink.Observe(obs.HistStepsToDecide, p.Steps())
-			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load(), Detail: prefString(st.Pref)})
+			emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: b.rounds[i].Load()}, prefString(st.Pref))
 			span.Finish(b.sink, i, p.Now(), p.Steps())
 			return int(st.Pref)
 		}
@@ -485,8 +485,8 @@ func (b *Bounded) Run(p *sched.Proc, input int) int {
 			old := st.Pref
 			st.Pref = Bottom // value field: no clone needed
 			b.mem.Write(p, st)
-			b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load(),
-				Detail: prefString(old) + "->⊥"})
+			emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CorePref, Round: b.rounds[i].Load()},
+				prefString(old), "->⊥")
 			continue
 		}
 
@@ -585,8 +585,8 @@ func (f stripFlip) conflict(b *Bounded, p *sched.Proc, span *obs.PhaseSpan, st E
 	st.Pref = f(p, st.Pref)
 	b.flips[i].Add(1)
 	b.mem.Write(p, st)
-	b.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: b.rounds[i].Load(),
-		Detail: "local=" + prefString(st.Pref)})
+	emitDetail(b.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: b.rounds[i].Load()},
+		"local=", prefString(st.Pref))
 	span.To(b.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 	return st
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
@@ -61,5 +62,15 @@ func prefString(p int8) string {
 	if p == Bottom {
 		return "⊥"
 	}
-	return fmt.Sprintf("%d", p)
+	return strconv.Itoa(int(p))
+}
+
+// emitDetail emits ev on s with its Detail set to the concatenation of
+// parts, built only when s records events (obs.Sink.Tracing): a metrics-only
+// run counts the event and allocates nothing.
+func emitDetail(s *obs.Sink, ev obs.Event, parts ...string) {
+	if s.Tracing() {
+		ev.Detail = strings.Join(parts, "")
+	}
+	s.Emit(ev)
 }

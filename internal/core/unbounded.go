@@ -236,7 +236,7 @@ func (u *Unbounded) Run(p *sched.Proc, input int) int {
 	span.To(u.sink, obs.PhaseStrip, i, p.Now(), p.Steps())
 	st = u.inc(p, st)
 	u.mem.Write(p, st)
-	u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: st.Round, Detail: "pref=" + prefString(st.Pref)})
+	emitDetail(u.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreStart, Round: st.Round}, "pref=", prefString(st.Pref))
 	span.To(u.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 
 	for {
@@ -261,7 +261,7 @@ func (u *Unbounded) Run(p *sched.Proc, input int) int {
 			if ok {
 				span.To(u.sink, obs.PhaseDecide, i, p.Now(), p.Steps())
 				u.sink.Observe(obs.HistStepsToDecide, p.Steps())
-				u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: st.Round, Detail: prefString(st.Pref)})
+				emitDetail(u.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreDecide, Round: st.Round}, prefString(st.Pref))
 				span.Finish(u.sink, i, p.Now(), p.Steps())
 				return int(st.Pref)
 			}
@@ -360,7 +360,7 @@ func (roundFlip) conflict(u *Unbounded, p *sched.Proc, span *obs.PhaseSpan, st U
 	st.Pref = fairFlip(p, st.Pref)
 	u.flips[i].Add(1)
 	u.mem.Write(p, st)
-	u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round, Detail: "local=" + prefString(st.Pref)})
+	emitDetail(u.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round}, "local=", prefString(st.Pref))
 	span.To(u.sink, obs.PhasePrefer, i, p.Now(), p.Steps())
 	return st
 }
@@ -405,7 +405,7 @@ func (o *Oracle) conflict(u *Unbounded, p *sched.Proc, span *obs.PhaseSpan, st U
 	span.To(u.sink, obs.PhaseCoin, i, p.Now(), p.Steps())
 	bit := o.Flip(p, st.Round)
 	u.flips[i].Add(1)
-	u.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round, Detail: "oracle=" + prefString(bit)})
+	emitDetail(u.sink, obs.Event{Step: p.Now(), Pid: i, Kind: obs.CoreFlip, Round: st.Round}, "oracle=", prefString(bit))
 	return u.adopt(p, span, st, bit)
 }
 

@@ -96,3 +96,60 @@ func TestSerializedRegisterOpsZeroAlloc(t *testing.T) {
 		t.Error("the run-local view's SWMR reads did not reach the registry")
 	}
 }
+
+// TestRegisterOpEvents: each register operation is one event of its kind. A
+// recording sink gets the full event, stamped with the step the operation
+// took; a metrics-only run-local view, which builds no event, counts the same
+// kinds.
+func TestRegisterOpEvents(t *testing.T) {
+	swmr := NewSWMR(1, 0)
+	d2w := NewDirect2W(0, 1, false)
+	mrmw := NewDirectMRMW(0, false)
+	ops := func(p *sched.Proc) {
+		if p.ID() != 1 {
+			return
+		}
+		swmr.Write(p, 7)
+		_ = swmr.Read(p)
+		d2w.Write(p, true)
+		_ = d2w.Read(p)
+		mrmw.Write(p, 1)
+		_ = mrmw.Read(p)
+	}
+	want := []obs.Event{
+		{Step: 1, Pid: 1, Kind: obs.RegSWMRWrite, Value: 1},
+		{Step: 2, Pid: 1, Kind: obs.RegSWMRRead, Value: 1},
+		{Step: 3, Pid: 1, Kind: obs.Reg2WWrite},
+		{Step: 4, Pid: 1, Kind: obs.Reg2WRead},
+		{Step: 5, Pid: 1, Kind: obs.RegMRMWWrite, Value: 1},
+		{Step: 6, Pid: 1, Kind: obs.RegMRMWRead, Value: 1},
+	}
+
+	var recorded []obs.Event
+	traced := obs.NewSink(obs.FuncRecorder(func(e obs.Event) { recorded = append(recorded, e) }))
+	metrics := obs.NewSink(nil)
+	view := metrics.Local(nil)
+	for _, s := range []*obs.Sink{traced, view} {
+		for _, r := range []SinkSetter{swmr, d2w, mrmw} {
+			r.SetSink(s)
+		}
+		if _, err := sched.Run(sched.Config{N: 2, Seed: 1}, ops); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	view.Flush()
+
+	if len(recorded) != len(want) {
+		t.Fatalf("recording sink got %d events, want %d: %+v", len(recorded), len(want), recorded)
+	}
+	for i, e := range recorded {
+		if e != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+	for _, e := range want {
+		if got := metrics.Registry().KindCount(e.Kind); got != 1 {
+			t.Errorf("metrics-only view counted %d %s events, want 1", got, e.Kind.ID())
+		}
+	}
+}

@@ -68,7 +68,7 @@ func (r *DirectMRMW[T]) SetNative(on bool) {
 func (r *DirectMRMW[T]) Read(p *sched.Proc) T {
 	p.DeclareRead(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegMRMWRead, Value: int64(p.ID())})
+	emitOp(r.sink, p, obs.RegMRMWRead, int64(p.ID()))
 	if r.native {
 		return *r.cell.v.Load()
 	}
@@ -84,7 +84,7 @@ func (r *DirectMRMW[T]) Read(p *sched.Proc) T {
 func (r *DirectMRMW[T]) Write(p *sched.Proc, v T) {
 	p.DeclareWrite(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegMRMWWrite, Value: int64(p.ID())})
+	emitOp(r.sink, p, obs.RegMRMWWrite, int64(p.ID()))
 	r.space.markWrite()
 	if r.native {
 		c := new(T)

@@ -98,6 +98,17 @@ type SinkSetter interface {
 	SetSink(*obs.Sink)
 }
 
+// emitOp accounts for register operation k by p, with payload value, on s.
+// Only a sink that records gets the full event, stamped with p.Now(); any
+// other sink counts k, with no Event built and no clock read.
+func emitOp(s *obs.Sink, p *sched.Proc, k obs.Kind, value int64) {
+	if s.Tracing() {
+		s.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: k, Value: value})
+		return
+	}
+	s.Count(k)
+}
+
 // SWMR is a single-writer multi-reader atomic register holding a value of
 // type T. Only the owner process may write; any process may read. It models a
 // hardware atomic register: one read or write is one atomic step.
@@ -149,7 +160,7 @@ func (r *SWMR[T]) SetNative(on bool) {
 func (r *SWMR[T]) readStep(p *sched.Proc) {
 	p.DeclareRead(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegSWMRRead, Value: int64(r.owner)})
+	emitOp(r.sink, p, obs.RegSWMRRead, int64(r.owner))
 }
 
 // Read returns the register's current value. One atomic step.
@@ -174,7 +185,7 @@ func (r *SWMR[T]) Write(p *sched.Proc, v T) {
 	}
 	p.DeclareWrite(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegSWMRWrite, Value: int64(r.owner)})
+	emitOp(r.sink, p, obs.RegSWMRWrite, int64(r.owner))
 	r.space.markWrite()
 	if r.native {
 		// Copy via new(T) rather than &v: taking the parameter's address
@@ -376,8 +387,16 @@ func NewDirect2W(a, b int, init bool) *Direct2W {
 
 func (r *Direct2W) checkParty(pid int) {
 	if pid != r.a && pid != r.b {
-		panic(fmt.Sprintf("register: process %d accessed 2W2R register of (%d,%d)", pid, r.a, r.b))
+		partyFault(pid, r.a, r.b)
 	}
+}
+
+// partyFault panics for process pid accessing the 2W2R register of parties a
+// and b. Formatting the message out of line keeps checkParty inlinable.
+//
+//go:noinline
+func partyFault(pid, a, b int) {
+	panic(fmt.Sprintf("register: process %d accessed 2W2R register of (%d,%d)", pid, a, b))
 }
 
 // SetSink installs the observability sink.
@@ -409,7 +428,7 @@ func (r *Direct2W) Read(p *sched.Proc) bool {
 	r.checkParty(p.ID())
 	p.DeclareRead(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.Reg2WRead})
+	emitOp(r.sink, p, obs.Reg2WRead, 0)
 	if r.native {
 		return r.cell.v.Load()
 	}
@@ -426,7 +445,7 @@ func (r *Direct2W) Write(p *sched.Proc, v bool) {
 	r.checkParty(p.ID())
 	p.DeclareWrite(r.fp)
 	p.Step()
-	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.Reg2WWrite})
+	emitOp(r.sink, p, obs.Reg2WWrite, 0)
 	r.space.markWrite()
 	if r.native {
 		r.cell.v.Store(v)

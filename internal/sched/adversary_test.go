@@ -97,3 +97,73 @@ func TestLaggerVictimOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// builtinAdversaries returns a fresh instance of every built-in adversary for
+// n processes.
+func builtinAdversaries(n int) []struct {
+	name string
+	adv  Adversary
+} {
+	return []struct {
+		name string
+		adv  Adversary
+	}{
+		{"round-robin", NewRoundRobin()},
+		{"random", NewRandom(1)},
+		{"lagger", NewLagger(0, 64, 1)},
+		{"crash", NewCrash(NewRandom(1), map[int]int64{n - 3: 500, n - 2: 1500, n - 1: 4000})},
+		{"quantum", NewQuantum(4)},
+		{"pct", NewPCT(n, 1000, 3, 1)},
+	}
+}
+
+// allPids returns the waiting set of n live processes.
+func allPids(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = i
+	}
+	return w
+}
+
+// TestAdversaryNextAllocatesNothing: consulting a built-in adversary is on
+// every simulated step, so no Next may allocate — over the full waiting set
+// and over every shrunken one, past the crash adversary's crash points.
+func TestAdversaryNextAllocatesNothing(t *testing.T) {
+	const n = 8
+	waiting := allPids(n)
+	for _, c := range builtinAdversaries(n) {
+		t.Run(c.name, func(t *testing.T) {
+			var step int64
+			allocs := testing.AllocsPerRun(100, func() {
+				for k := 1; k <= n; k++ {
+					c.adv.Next(waiting[n-k:], step)
+					step += 7
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: Next allocated %.1f times per %d consults, want 0", c.name, allocs, n)
+			}
+		})
+	}
+}
+
+// BenchmarkAdversaryNext measures one consult of each built-in adversary
+// with all eight processes waiting: the per-step cost the sequential
+// dispatcher pays the adversary.
+func BenchmarkAdversaryNext(b *testing.B) {
+	const n = 8
+	waiting := allPids(n)
+	for _, c := range builtinAdversaries(n) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += c.adv.Next(waiting, int64(i))
+			}
+			if sum < 0 {
+				b.Fatal("negative pick")
+			}
+		})
+	}
+}

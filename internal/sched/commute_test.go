@@ -278,7 +278,7 @@ func TestCommutingBatchesReduceConsults(t *testing.T) {
 // randomized footprint tables: the leader always leads, the checker accepts
 // every formed set, and no admitted pair overlaps.
 func TestBuildCommutingSetProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(newSource(42))
 	for trial := 0; trial < 2000; trial++ {
 		n := 2 + rng.Intn(10)
 		fps := make([]Footprint, n)

@@ -221,7 +221,7 @@ func newProc(id int, seed int64, g gate) *Proc {
 	_, races := g.(*nativeGate)
 	return &Proc{
 		id:    id,
-		rng:   rand.New(rand.NewSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
+		rng:   rand.New(newSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
 		gate:  g,
 		races: races,
 	}
