@@ -2,43 +2,36 @@
 
 GO ?= go
 
-.PHONY: all ci build test test-race test-short bench bench-json bench-check perfbench-smoke live-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
+.PHONY: all ci build test test-race test-short bench bench-json bench-check perfbench-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
 
 all: vet test build
 
-# ci is the full gate: formatting, vet, build, tests, a short -race pass
-# over the whole module (the batch engine fans instances over a worker pool,
-# and the -race pass drives the dispatch engine's equivalence suite, so the
-# direct-dispatch run loop is race-checked on every CI run — including the
-# audit monitor's probe paths), a benchmark smoke pass (compile + a short run
-# of the solve, scheduler-engine, register-operation and adversary-consult
-# microbenchmarks, catching benchmarks broken by refactors), an audit smoke
-# pass (every protocol under the online
-# invariant monitor with sampled probes escalated; consensus-sim exits
-# non-zero if any probe fires), the live-telemetry smoke test, and a
-# benchdiff self-compare to keep the regression gate runnable, and the
-# profiler smoke pass (one profiled seed per protocol, Perfetto validation,
-# and the traceview -prof golden), the space-accounting smoke pass (every
-# protocol metered, the bounded protocol's static payload bounds enforced,
-# and the traceview -space golden), and the native-substrate smoke test (every
-# protocol on real goroutines + lock-free registers with the audit monitor as
-# the online correctness oracle), and the commuting-dispatch smoke test
-# (every protocol under both dispatch modes with the monitor escalated, a
-# seed-determinism check, the native+commuting rejection, and a capped n=32
-# commuting workload), and the tail-latency smoke test (a metered batch with
-# straggler digest + deterministic replay, bundle completeness, the traceview
-# -tail views, and the live /timeseries + /stream SSE feed). The -short -race
-# pass is also the native race lane: it
-# drives the substrate conformance suite and the native preemption stress
-# sweep (GOMAXPROCS x randomized yields), so the lock-free register stack is
-# race-checked on every CI run — and the commuting policy's replay
-# equivalence suite, so the batched grant path is race-checked too.
-# `go test ./...` does not descend into the nested perfbench module (the
-# repository benchmark), so ci vets and tests it on its own: an API change
-# that breaks the benchmark's build fails here rather than in a benchmark run,
-# and perfbench-smoke runs each gated workload briefly in both modes.
-# The module's `go test ./...` and the -race pass run last: a red package test
-# then fails ci only after every other gate has run, instead of hiding them.
+# ci is the full gate. In order:
+#   - formatting, vet and build of the module;
+#   - vet and test of the nested perfbench module (the repository benchmark,
+#     which `go test ./...` does not descend into), then perfbench-smoke, a
+#     brief run of each gated workload in both modes against the committed
+#     fingerprints;
+#   - a benchmark smoke pass: the solve, scheduler-engine, register-operation
+#     and adversary-consult microbenchmarks compile and run briefly;
+#   - an audit smoke pass: every protocol under the online invariant monitor
+#     with sampled probes run at every opportunity (consensus-sim exits
+#     non-zero if any fires);
+#   - the smoke scripts: the profiler (one profiled seed per protocol,
+#     Perfetto validation, the traceview -prof golden), space accounting
+#     (every protocol metered, the bounded protocol's static payload bounds,
+#     the traceview -space golden), the native substrate (every protocol on
+#     real goroutines with the monitor as oracle), commuting dispatch (both
+#     dispatch modes with the monitor escalated, seed determinism, the
+#     native+commuting rejection, a capped n=32 workload) and tail latency (a
+#     metered batch with straggler digest and deterministic replay, bundle
+#     completeness, the traceview -tail views);
+#   - a benchdiff self-compare, to keep the regression gate runnable;
+#   - `go test ./...`, then a -short -race pass over the whole module. The
+#     race pass covers the batch worker pool, the dispatch engine's
+#     equivalence suite, the substrate conformance suite, the native
+#     preemption sweep and the commuting replay suite. Both run last, so a red
+#     package test fails ci only after every other gate has run.
 ci: fmt-check vet build
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) perfbench-smoke
@@ -46,7 +39,6 @@ ci: fmt-check vet build
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done
-	./scripts/live_smoke.sh
 	./scripts/prof_smoke.sh
 	./scripts/space_smoke.sh
 	./scripts/native_smoke.sh
@@ -116,9 +108,6 @@ perfbench-smoke:
 		done; \
 	done
 
-live-smoke:
-	./scripts/live_smoke.sh
-
 prof-smoke:
 	./scripts/prof_smoke.sh
 
@@ -155,7 +144,6 @@ fuzz:
 	$(GO) test -fuzz FuzzProfReport -fuzztime 30s ./internal/obs/prof/
 	$(GO) test -fuzz FuzzParseUsage -fuzztime 30s ./internal/obs/space/
 	$(GO) test -fuzz FuzzCommutingGrant -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzTimeseriesDelta -fuzztime 30s ./internal/obs/tail/
 
 vet:
 	$(GO) vet ./...

@@ -49,17 +49,18 @@ type BatchConfig struct {
 	PerInstance func(k int, cfg *Config)
 
 	// Sink, if non-nil, replaces the batch's private metrics sink: every
-	// instance reports into its registry, so a live telemetry server holding
-	// the same sink sees the counters move while the batch runs. A recorder
-	// on the sink receives events from all workers with no ordering guarantee
-	// between instances — use a self-synchronizing recorder such as obs.Ring,
-	// and treat it as a debugging tail, not a faithful trace. The registry
+	// instance reports into its registry, so a caller holding the same sink
+	// (say, to keep a tail ring's drop count beside the batch's counters)
+	// reads one registry for the whole batch. A recorder on the sink
+	// receives events from all workers with no ordering guarantee between
+	// instances — use a self-synchronizing recorder such as obs.Ring, and
+	// treat it as a debugging tail, not a faithful trace. The registry
 	// path stays deterministic regardless (atomic sums and maxes commute).
 	Sink *obs.Sink
 
-	// Progress, if non-nil, is re-armed for this batch and updated as
-	// instances start and finish — the probe behind the live server's
-	// consensus_batch_* gauges. Reporting-only; results are unaffected.
+	// Progress, if non-nil, is re-armed for this batch and counts instances
+	// as they finish — the probe behind consensus-load's -progress lines.
+	// Reporting-only; results are unaffected.
 	Progress *obs.BatchProgress
 
 	// Stragglers, when > 0, keeps a digest of the k slowest instances by

@@ -8,7 +8,7 @@
 //	consensus-load -instances 200
 //	consensus-load -alg strong-coin -n 8 -instances 50 -parallel 4
 //	consensus-load -matrix -json > BENCH_batch.json
-//	consensus-load -instances 5000 -listen 127.0.0.1:9090   # then scrape /metrics
+//	consensus-load -instances 5000 -progress 1s   # progress + ETA on stderr
 //	consensus-load -instances 500 -stragglers 3 -straggler-replay   # forensic bundles
 package main
 
@@ -25,7 +25,6 @@ import (
 	consensus "github.com/dsrepro/consensus"
 	"github.com/dsrepro/consensus/internal/benchfmt"
 	"github.com/dsrepro/consensus/internal/obs"
-	"github.com/dsrepro/consensus/internal/obs/live"
 	"github.com/dsrepro/consensus/internal/obs/prof"
 )
 
@@ -49,10 +48,8 @@ func run() int {
 		mFlag     = flag.Int("m", 0, "coin-counter bound (0 = algorithm default)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
 		matrix    = flag.Bool("matrix", false, "run the standard workload matrix ({bounded, aspnes-herlihy} x {n=4, n=8, n=16}) instead of one workload; -instances/-n/-alg/-tail are ignored")
-		listen    = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/pprof) on this address while the batch runs (e.g. 127.0.0.1:9090, :0 for a free port)")
-		linger    = flag.Duration("linger", 0, "with -listen, keep serving telemetry this long after the batch completes")
 		tail      = flag.Int("tail", 0, "keep the last N events in a ring for post-run inspection (0 = off; ordering across workers is unspecified)")
-		profOn    = flag.Bool("prof", false, "run the step profiler on every instance: prof.* counters plus blame/contention matrices in the report (and, with -listen, at /metrics once the workload completes)")
+		profOn    = flag.Bool("prof", false, "run the step profiler on every instance: prof.* counters plus blame/contention matrices in the report")
 		auditOn   = flag.Bool("audit", false, "run the online invariant monitor on every instance; non-zero exit if any probe fires")
 		auditN    = flag.Int("audit-sample", 0, "audit: run sampled probes every N opportunities (0 = default 64, 1 = every)")
 		auditDir  = flag.String("audit-dir", "", "audit: write flight-recorder dumps to this directory (replay with consensus-audit)")
@@ -79,36 +76,11 @@ func run() int {
 		return 2
 	}
 
-	prog := &obs.BatchProgress{}
-	var srv *live.Server
-	if *listen != "" {
-		srv = live.New()
-		srv.AddProgress(prog)
-		// The timeseries ring turns point scrapes into trends: /timeseries
-		// dumps the retained window, /stream pushes it as SSE.
-		srv.EnableTimeseries(300, time.Second)
-		addr, err := srv.Start(*listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "consensus-load: telemetry on http://%s/metrics (also /healthz /timeseries /stream)\n", addr)
-	}
-	lingerAtExit := func() {
-		if srv != nil {
-			// Stamp one final sample so short batches leave a trend behind.
-			srv.SampleTimeseries()
-		}
-		if srv != nil && *linger > 0 {
-			fmt.Fprintf(os.Stderr, "consensus-load: lingering %s for scrapes\n", *linger)
-			time.Sleep(*linger)
-		}
-	}
-
-	// The progress printer is a stderr-side view of the same probe /healthz
-	// serves: completion fraction, windowed rate, and the ETA estimate.
+	// The progress printer reads the batch's progress probe: completion
+	// fraction, windowed rate, and the ETA estimate.
+	var prog *obs.BatchProgress
 	if *progEvery > 0 {
+		prog = &obs.BatchProgress{}
 		stopProg := make(chan struct{})
 		defer close(stopProg)
 		go func() {
@@ -138,7 +110,6 @@ func run() int {
 		b:          *b,
 		parallel:   *parallel,
 		prog:       prog,
-		srv:        srv,
 		profile:    *profOn,
 		latency:    *latency,
 		stragglers: *stragglers,
@@ -174,7 +145,6 @@ func run() int {
 				return 1
 			}
 		}
-		lingerAtExit()
 		if bad > 0 {
 			return 1
 		}
@@ -209,7 +179,6 @@ func run() int {
 	} else {
 		printReport(r, ring)
 	}
-	lingerAtExit()
 	if bad+reportErrors(res)+int(reportViolations(res)) > 0 {
 		return 1
 	}
@@ -331,7 +300,6 @@ type workloadOpts struct {
 	b           int
 	parallel    int
 	prog        *obs.BatchProgress
-	srv         *live.Server
 	audit       bool
 	auditSample int
 	auditDir    string
@@ -342,10 +310,9 @@ type workloadOpts struct {
 
 // reconcileTailDrops folds the ring's final drop total into the report. The
 // batch counters were snapshotted inside SolveBatch, but the ring can still
-// overwrite events after that snapshot (a racing worker's last emissions, or a
-// live scrape draining the tail), so the authoritative count is the ring's own
-// — take it last and raise the obs.trace_dropped counter to match, never
-// lowering it.
+// overwrite events after that snapshot (a racing worker's last emissions), so
+// the authoritative count is the ring's own — take it last and raise the
+// obs.trace_dropped counter to match, never lowering it.
 func reconcileTailDrops(r *benchfmt.Report, ring *obs.Ring) {
 	if ring == nil {
 		return
@@ -400,8 +367,8 @@ func runWorkload(ws workloadSpec, opts workloadOpts, ring *obs.Ring) (benchfmt.R
 		inputs[i] = i % 2
 	}
 
-	// The batch reports into a caller-owned sink so the telemetry server can
-	// scrape its registry mid-run.
+	// The batch reports into a caller-owned sink so the tail ring's overwrites
+	// count into the same registry the report reads.
 	var rec obs.Recorder
 	if ring != nil {
 		rec = ring
@@ -409,11 +376,8 @@ func runWorkload(ws workloadSpec, opts workloadOpts, ring *obs.Ring) (benchfmt.R
 	sink := obs.NewSink(rec)
 	if ring != nil {
 		// Account ring overwrites into the registry so trace loss is visible
-		// at /metrics (obs.trace_dropped) and in the report counters.
+		// in the report counters (obs.trace_dropped).
 		ring.CountDropsInto(sink)
-	}
-	if opts.srv != nil {
-		opts.srv.AddRegistry(sink.Registry())
 	}
 
 	base := consensus.Config{
@@ -491,28 +455,7 @@ func runWorkload(ws workloadSpec, opts workloadOpts, ring *obs.Ring) (benchfmt.R
 	for _, v := range res.Violations {
 		r.Violations += v
 	}
-	if profile && opts.srv != nil {
-		// Profiler aggregates are not in the sink registry the server already
-		// scrapes; publish the prof-only slice of the merged snapshot so the
-		// prof.* series and matrices appear at /metrics (useful with -linger).
-		ps := profSnapshot(res)
-		opts.srv.AddSnapshot(func() obs.Snapshot { return ps })
-	}
 	return r, res, base, 0
-}
-
-// profSnapshot extracts the profiler-owned portion of a batch result — the
-// prof.* counters and the matrices — as a standalone snapshot. The registry
-// counters stay out: the live server already scrapes the sink registry, and
-// re-publishing them would double every scan/core series.
-func profSnapshot(res consensus.BatchResult) obs.Snapshot {
-	s := obs.Snapshot{Counters: map[string]int64{}, Matrices: res.Matrices}
-	for k, v := range res.Counters {
-		if strings.HasPrefix(k, "prof.") {
-			s.Counters[k] = v
-		}
-	}
-	return s
 }
 
 // derivedStats computes the informational ratios carried in Report.Derived.

@@ -17,11 +17,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	consensus "github.com/dsrepro/consensus"
 	"github.com/dsrepro/consensus/internal/obs"
-	"github.com/dsrepro/consensus/internal/obs/live"
 	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/walk"
@@ -58,8 +56,6 @@ func run() int {
 		auditFlag  = flag.Bool("audit", false, "run the online invariant monitor; non-zero exit if any probe fires")
 		auditEvery = flag.Int("audit-sample", 0, "audit: run sampled probes every N opportunities (0 = default 64, 1 = every)")
 		auditDir   = flag.String("audit-dir", "", "audit: write flight-recorder dumps to this directory (replay with consensus-audit)")
-		listen     = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /debug/pprof) on this address while the run executes (e.g. 127.0.0.1:9090, :0 for a free port)")
-		linger     = flag.Duration("linger", 0, "with -listen, keep serving telemetry this long after the run completes")
 	)
 	flag.Parse()
 
@@ -126,24 +122,6 @@ func run() int {
 			return 2
 		}
 		cfg.TraceJSONL = traceFile
-	}
-	if *listen != "" {
-		cfg.Sink = obs.NewSink(nil)
-		srv := live.New()
-		srv.AddRegistry(cfg.Sink.Registry())
-		addr, lerr := srv.Start(*listen)
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "consensus-sim: %v\n", lerr)
-			return 2
-		}
-		defer srv.Close()
-		defer func() {
-			if *linger > 0 {
-				fmt.Fprintf(os.Stderr, "consensus-sim: lingering %s for scrapes\n", *linger)
-				time.Sleep(*linger)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "consensus-sim: telemetry on http://%s/metrics\n", addr)
 	}
 	res, err := consensus.Solve(cfg)
 	if traceFile != nil {

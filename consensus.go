@@ -448,9 +448,8 @@ type Config struct {
 	Recorder obs.Recorder
 
 	// Sink, if non-nil, is the observability hub the run reports into: its
-	// metrics registry accumulates across every run sharing the sink, so a
-	// live telemetry server (internal/obs/live) holding the same sink can be
-	// scraped while the run is in flight. The trace surfaces above stack on
+	// metrics registry accumulates across every run sharing the sink, so one
+	// snapshot covers a sequence of runs. The trace surfaces above stack on
 	// top of any recorder the sink already carries. When nil, Solve builds a
 	// private sink and its registry is visible only through Result.
 	Sink *obs.Sink

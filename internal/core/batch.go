@@ -88,10 +88,10 @@ func RunBatch(parallel int, sink *obs.Sink, instances []Instance) []BatchOutcome
 	return RunBatchProgress(parallel, sink, nil, instances)
 }
 
-// RunBatchProgress is RunBatch with a live progress probe: prog (nil allowed)
-// is re-armed for the batch and its instance counters updated around every
-// execution, so a telemetry server can report completion while the batch runs.
-// The probe is reporting-only and does not affect scheduling or results.
+// RunBatchProgress is RunBatch with a progress probe: prog (nil allowed) is
+// re-armed for the batch and counts every finished execution, so a reporter
+// can show completion while the batch runs. The probe is reporting-only and
+// does not affect scheduling or results.
 func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, instances []Instance) []BatchOutcome {
 	m := len(instances)
 	out := make([]BatchOutcome, m)
@@ -104,7 +104,6 @@ func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, ins
 	prog.Begin(m)
 
 	run1 := func(arena *Arena, k int) {
-		prog.InstanceStarted()
 		defer prog.InstanceDone()
 		inst := instances[k]
 		start := time.Now() // monotonic; elapsed survives wall-clock jumps

@@ -149,8 +149,8 @@ type ExecConfig struct {
 	// the same reason a step-serialized run counts its events into a
 	// run-local view of the sink (obs.Sink.Local) with plain adds: the
 	// counters reach the registry in one flush when the run ends, so a
-	// mid-run scrape sees the run's counts then. Native runs count with
-	// atomic adds as they go.
+	// mid-run registry read sees the run's counts then. Native runs count
+	// with atomic adds as they go.
 	Sink *obs.Sink
 
 	// Rendezvous selects the legacy rendezvous step engine (test-only; see

@@ -124,7 +124,7 @@ const (
 	FlightDump
 
 	// obs layer: TraceDropped counts ring-recorder events lost to overwrite
-	// (see Ring.CountDropsInto) so trace loss shows up at /metrics.
+	// (see Ring.CountDropsInto) so trace loss shows up in the registry.
 	TraceDropped
 
 	numKinds

@@ -1,7 +1,7 @@
 package obs
 
 // MergeSnapshots combines registry snapshots from independent sources (e.g.
-// per-worker registries feeding one live /metrics endpoint) into one:
+// a batch's registry and its per-instance profilers) into one:
 // counters sum, gauges take the maximum, histograms merge bucket-wise with
 // summary percentiles re-estimated from the merged buckets, and matrices add
 // element-wise (zero-padded to the larger shape). Counter addition, gauge

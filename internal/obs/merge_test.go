@@ -36,9 +36,9 @@ func TestMergeSnapshotsCountersAndGauges(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsGroupingIndependent is the property the live server
-// relies on: merging per-worker snapshots must give the same result in any
-// order or grouping.
+// TestMergeSnapshotsGroupingIndependent is the property batch merging relies
+// on: merging independent snapshots must give the same result in any order
+// or grouping.
 func TestMergeSnapshotsGroupingIndependent(t *testing.T) {
 	mk := func(vals ...int64) Snapshot {
 		return snapOf(func(r *Registry) {

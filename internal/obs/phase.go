@@ -22,8 +22,8 @@ package obs
 // emits one phase-layer event carrying the segment's step count, and at
 // decision time the per-process totals land in the phase.steps histogram
 // family, so the same data is visible in traces (cmd/traceview -phase), in
-// metrics snapshots (consensus.Result.Hists, harness tables), and on the live
-// /metrics endpoint (internal/obs/live).
+// metrics snapshots (consensus.Result.Hists, harness tables) and in bench
+// reports.
 
 // PhaseID names one phase of the consensus main loop.
 type PhaseID uint8

@@ -23,18 +23,17 @@ type progressBucket struct {
 	count atomic.Int64
 }
 
-// BatchProgress is an atomic probe into a running batch: total, completed and
-// in-flight instance counts plus the wall-clock start, updated by the batch
-// engine's workers (core.RunBatch) and read concurrently by the live
-// telemetry server. Like *Sink, a nil *BatchProgress is a valid disabled
-// probe — every method nil-checks the receiver — so the engine pays one
-// branch when nobody is watching. The probe is reporting-only: it never feeds
-// back into execution, so batch results stay deterministic with or without
-// it.
+// BatchProgress is an atomic probe into a running batch: total and completed
+// instance counts plus the wall-clock start, updated by the batch engine's
+// workers (core.RunBatch) and read concurrently by a progress reporter
+// (consensus-load -progress). Like *Sink, a nil *BatchProgress is a valid
+// disabled probe — every method nil-checks the receiver — so the engine pays
+// one branch when nobody is watching. The probe is reporting-only: it never
+// feeds back into execution, so batch results stay deterministic with or
+// without it.
 type BatchProgress struct {
 	total     atomic.Int64
 	completed atomic.Int64
-	inflight  atomic.Int64
 	startNano atomic.Int64
 	window    [progressWindowBuckets]progressBucket
 }
@@ -51,7 +50,6 @@ func (p *BatchProgress) beginAt(total int, nowNano int64) {
 	}
 	p.total.Store(int64(total))
 	p.completed.Store(0)
-	p.inflight.Store(0)
 	for i := range p.window {
 		p.window[i].epoch.Store(0)
 		p.window[i].count.Store(0)
@@ -59,15 +57,7 @@ func (p *BatchProgress) beginAt(total int, nowNano int64) {
 	p.startNano.Store(nowNano)
 }
 
-// InstanceStarted marks one instance as picked up by a worker.
-func (p *BatchProgress) InstanceStarted() {
-	if p == nil {
-		return
-	}
-	p.inflight.Add(1)
-}
-
-// InstanceDone marks one in-flight instance as completed.
+// InstanceDone marks one instance as completed.
 func (p *BatchProgress) InstanceDone() {
 	p.instanceDoneAt(time.Now().UnixNano())
 }
@@ -76,7 +66,6 @@ func (p *BatchProgress) instanceDoneAt(nowNano int64) {
 	if p == nil {
 		return
 	}
-	p.inflight.Add(-1)
 	p.completed.Add(1)
 	start := p.startNano.Load()
 	if start == 0 || nowNano < start {
@@ -104,8 +93,8 @@ func (p *BatchProgress) instanceDoneAt(nowNano int64) {
 
 // ProgressSnapshot is a point-in-time view of a BatchProgress.
 type ProgressSnapshot struct {
-	// Total, Completed and InFlight count instances.
-	Total, Completed, InFlight int64
+	// Total and Completed count instances.
+	Total, Completed int64
 	// ElapsedSec is the wall-clock time since Begin (0 before Begin).
 	ElapsedSec float64
 	// PerSec is Completed / ElapsedSec (0 when elapsed is 0).
@@ -134,7 +123,6 @@ func (p *BatchProgress) snapshotAt(nowNano int64) ProgressSnapshot {
 	s := ProgressSnapshot{
 		Total:     p.total.Load(),
 		Completed: p.completed.Load(),
-		InFlight:  p.inflight.Load(),
 	}
 	start := p.startNano.Load()
 	if start != 0 && nowNano > start {

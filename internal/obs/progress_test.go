@@ -11,17 +11,14 @@ func TestBatchProgressLifecycle(t *testing.T) {
 		t.Errorf("zero probe snapshot: %+v", s)
 	}
 	p.Begin(3)
-	p.InstanceStarted()
-	p.InstanceStarted()
-	if s := p.Snapshot(); s.Total != 3 || s.InFlight != 2 || s.Completed != 0 {
-		t.Errorf("mid-batch snapshot: %+v", s)
+	if s := p.Snapshot(); s.Total != 3 || s.Completed != 0 {
+		t.Errorf("armed snapshot: %+v", s)
 	}
 	p.InstanceDone()
 	p.InstanceDone()
-	p.InstanceStarted()
 	p.InstanceDone()
 	s := p.Snapshot()
-	if s.Completed != 3 || s.InFlight != 0 {
+	if s.Completed != 3 {
 		t.Errorf("end-of-batch snapshot: %+v", s)
 	}
 	if s.ElapsedSec < 0 {
@@ -29,7 +26,7 @@ func TestBatchProgressLifecycle(t *testing.T) {
 	}
 	// Re-arming resets the counters for the next batch.
 	p.Begin(10)
-	if s := p.Snapshot(); s.Total != 10 || s.Completed != 0 || s.InFlight != 0 {
+	if s := p.Snapshot(); s.Total != 10 || s.Completed != 0 {
 		t.Errorf("re-armed snapshot: %+v", s)
 	}
 }
@@ -37,7 +34,6 @@ func TestBatchProgressLifecycle(t *testing.T) {
 func TestBatchProgressNilSafe(t *testing.T) {
 	var p *BatchProgress
 	p.Begin(5)
-	p.InstanceStarted()
 	p.InstanceDone()
 	if s := p.Snapshot(); s != (ProgressSnapshot{}) {
 		t.Errorf("nil probe snapshot: %+v", s)
@@ -61,7 +57,6 @@ func TestBatchProgressETA(t *testing.T) {
 	now := start
 	for tick := 0; tick < 4; tick++ { // 4 seconds x 10 completions
 		for i := 0; i < 10; i++ {
-			p.InstanceStarted()
 			now += sec / 10
 			p.instanceDoneAt(now)
 		}
@@ -80,7 +75,6 @@ func TestBatchProgressETA(t *testing.T) {
 
 	// Drain the batch: a finished batch has ETA 0 regardless of rates.
 	for i := 0; i < 60; i++ {
-		p.InstanceStarted()
 		now += sec / 10
 		p.instanceDoneAt(now)
 	}
@@ -100,7 +94,6 @@ func TestBatchProgressWindowTracksRegimeChange(t *testing.T) {
 	p.beginAt(1000, start)
 	now := start
 	for i := 0; i < 100; i++ { // 100 done in the first second
-		p.InstanceStarted()
 		now += sec / 100
 		p.instanceDoneAt(now)
 	}

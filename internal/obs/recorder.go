@@ -40,10 +40,10 @@ func NewRing(capacity int) *Ring {
 }
 
 // CountDropsInto makes every future ring overwrite also count a TraceDropped
-// event into s's registry, so trace loss is visible live (e.g. on the
-// /metrics endpoint of a server holding the same registry) rather than only
-// in the post-run Dropped() total. Call before recording starts; a nil s
-// disables the counting again.
+// event into s's registry, so trace loss shows up in the registry's
+// snapshots (and the reports built from them) as well as in the ring's own
+// Dropped() total. Call before recording starts; a nil s disables the
+// counting again.
 func (r *Ring) CountDropsInto(s *Sink) {
 	r.mu.Lock()
 	r.drops = s

@@ -1,7 +1,6 @@
 // Package tail is the tail-latency layer of the observability stack:
 // per-instance wall-clock latency summaries (exact nearest-rank quantiles up
-// to p999), a deterministic top-k straggler digest over a batch, and a
-// bounded time-series ring of metric-snapshot deltas behind the live server.
+// to p999) and a deterministic top-k straggler digest over a batch.
 //
 // Latency is the one observable the repo cannot make deterministic — wall
 // clocks jitter — so the package splits the concern: latency *values* are

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -104,16 +105,30 @@ func NewCrash(inner Adversary, crashAt map[int]int64) Adversary {
 type crash struct {
 	inner   Adversary
 	crashAt map[int]int64
-	alive   []int // Next's buffer for the uncrashed waiting pids, reused
+	at      []int64 // at[pid]: pid's crash step, or math.MaxInt64 for none
+	alive   []int   // Next's buffer for the uncrashed waiting pids, reused
+}
+
+// crashed reports whether pid is down at step. The first consult of a pid
+// past the end of at extends at from crashAt: pids come from the engine, so
+// at never outgrows the run's process count, whatever crashAt's keys are.
+func (a *crash) crashed(pid int, step int64) bool {
+	for len(a.at) <= pid {
+		at, ok := a.crashAt[len(a.at)]
+		if !ok {
+			at = math.MaxInt64
+		}
+		a.at = append(a.at, at)
+	}
+	return step >= a.at[pid]
 }
 
 func (a *crash) Next(waiting []int, step int64) int {
 	alive := a.alive[:0]
 	for _, pid := range waiting {
-		if at, ok := a.crashAt[pid]; ok && step >= at {
-			continue
+		if !a.crashed(pid, step) {
+			alive = append(alive, pid)
 		}
-		alive = append(alive, pid)
 	}
 	a.alive = alive
 	if len(alive) == 0 {
@@ -125,7 +140,7 @@ func (a *crash) Next(waiting []int, step int64) int {
 // Eligible implements Extender: a crashed pid never moves again; otherwise
 // defer to the inner adversary's eligibility (absent, unconstrained).
 func (a *crash) Eligible(pid int, step int64) bool {
-	if at, ok := a.crashAt[pid]; ok && step >= at {
+	if a.crashed(pid, step) {
 		return false
 	}
 	if e, ok := a.inner.(Extender); ok {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -94,6 +95,70 @@ func TestLaggerVictimOutOfRange(t *testing.T) {
 	for pid, c := range counts {
 		if !res.Finished[pid] || c != 20 {
 			t.Fatalf("process %d: finished=%v steps=%d, want finished with 20 steps", pid, res.Finished[pid], c)
+		}
+	}
+}
+
+// TestCrashMatchesMapFilter: the crash adversary keeps its crash points in
+// a per-pid slice, so its picks and eligibility must equal a reference that
+// filters the waiting set through the crashAt map on every consult — over
+// random crash maps whose keys include negative pids, pids past n and huge
+// pids, none of which may size the slice beyond the pids consulted.
+func TestCrashMatchesMapFilter(t *testing.T) {
+	const n = 8
+	rng := rand.New(rand.NewSource(3))
+	keys := []int{-1 << 40, -3, -1, n, n + 5, 1 << 40}
+	for trial := 0; trial < 200; trial++ {
+		crashAt := map[int]int64{}
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			pid := rng.Intn(n)
+			if rng.Intn(3) == 0 {
+				pid = keys[rng.Intn(len(keys))]
+			}
+			crashAt[pid] = rng.Int63n(3000) - 100
+		}
+		seed := rng.Int63()
+		adv := NewCrash(NewRandom(seed), crashAt)
+		inner := NewRandom(seed)
+		crashed := func(pid int, step int64) bool {
+			at, ok := crashAt[pid]
+			return ok && step >= at
+		}
+		ref := FuncAdversary(func(waiting []int, step int64) int {
+			var alive []int
+			for _, pid := range waiting {
+				if !crashed(pid, step) {
+					alive = append(alive, pid)
+				}
+			}
+			if len(alive) == 0 {
+				return -1
+			}
+			return inner.Next(alive, step)
+		})
+		var step int64
+		for i := 0; i < 300; i++ {
+			var waiting []int
+			for pid := 0; pid < n; pid++ {
+				if rng.Intn(4) != 0 {
+					waiting = append(waiting, pid)
+				}
+			}
+			if len(waiting) == 0 {
+				waiting = []int{rng.Intn(n)}
+			}
+			if got, want := adv.Next(waiting, step), ref.Next(waiting, step); got != want {
+				t.Fatalf("trial %d, crashAt %v, step %d: Next(%v) = %d, want %d", trial, crashAt, step, waiting, got, want)
+			}
+			for pid := 0; pid < n; pid++ {
+				if got, want := adv.(Extender).Eligible(pid, step), !crashed(pid, step); got != want {
+					t.Fatalf("trial %d, crashAt %v, step %d: Eligible(%d) = %v, want %v", trial, crashAt, step, pid, got, want)
+				}
+			}
+			step += rng.Int63n(40)
+		}
+		if got := len(adv.(*crash).at); got > n {
+			t.Fatalf("trial %d, crashAt %v: crash points held for %d pids, want at most %d", trial, crashAt, got, n)
 		}
 	}
 }

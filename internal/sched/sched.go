@@ -263,7 +263,7 @@ type Config struct {
 	// counts) in the unified observability registry. Grants are counted, not
 	// recorded as events — one event per atomic step would drown any trace.
 	// The dispatch engine and the native substrate add a run's grants in one
-	// update when the run ends, so a mid-run registry scrape sees them then.
+	// update when the run ends, so a mid-run registry read sees them then.
 	Sink *obs.Sink
 
 	// Rendezvous selects the legacy per-step rendezvous engine (a dedicated
