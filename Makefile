@@ -12,8 +12,9 @@ all: vet test build
 #     which `go test ./...` does not descend into), then perfbench-smoke, a
 #     brief run of each gated workload in both modes against the committed
 #     fingerprints;
-#   - a benchmark smoke pass: the solve, scheduler-engine, register-operation
-#     and adversary-consult microbenchmarks compile and run briefly;
+#   - a benchmark smoke pass: the solve, scheduler-engine, register-operation,
+#     adversary-consult and contended-scan microbenchmarks compile and run
+#     briefly;
 #   - an audit smoke pass: every protocol under the online invariant monitor
 #     with sampled probes run at every opportunity (consensus-sim exits
 #     non-zero if any fires);
@@ -35,7 +36,7 @@ all: vet test build
 ci: fmt-check vet build
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) perfbench-smoke
-	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep|BenchmarkRegisterOps|BenchmarkAdversaryNext' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/
+	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous|BenchmarkSchedulerStep|BenchmarkRegisterOps|BenchmarkAdversaryNext|BenchmarkArrowScanContended' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/ ./internal/scan/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done

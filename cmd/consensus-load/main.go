@@ -47,7 +47,7 @@ func run() int {
 		kFlag     = flag.Int("k", 0, "rounds-strip constant (0 = algorithm default)")
 		mFlag     = flag.Int("m", 0, "coin-counter bound (0 = algorithm default)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
-		matrix    = flag.Bool("matrix", false, "run the standard workload matrix ({bounded, aspnes-herlihy} x {n=4, n=8, n=16}) instead of one workload; -instances/-n/-alg/-tail are ignored")
+		matrix    = flag.Bool("matrix", false, matrixHelp())
 		tail      = flag.Int("tail", 0, "keep the last N events in a ring for post-run inspection (0 = off; ordering across workers is unspecified)")
 		profOn    = flag.Bool("prof", false, "run the step profiler on every instance: prof.* counters plus blame/contention matrices in the report")
 		auditOn   = flag.Bool("audit", false, "run the online invariant monitor on every instance; non-zero exit if any probe fires")
@@ -290,6 +290,37 @@ var matrixWorkloads = []workloadSpec{
 	{Alg: "bounded", N: 8, Instances: 40, M: 64},
 	{Alg: "anonymous", N: 4, Instances: 400},
 	{Alg: "anonymous", N: 8, Instances: 100},
+}
+
+// matrixHelp is -matrix's help text: the rows of matrixWorkloads, grouped by
+// algorithm, substrate, dispatch mode and K/M override, with their process
+// counts in row order.
+func matrixHelp() string {
+	var groups []string
+	ns := map[string][]string{}
+	for _, w := range matrixWorkloads {
+		g := w.Alg
+		for _, opt := range []string{w.Substrate, w.Dispatch} {
+			if opt != "" {
+				g += " " + opt
+			}
+		}
+		if w.K != 0 {
+			g += fmt.Sprintf(" K=%d", w.K)
+		}
+		if w.M != 0 {
+			g += fmt.Sprintf(" M=%d", w.M)
+		}
+		if ns[g] == nil {
+			groups = append(groups, g)
+		}
+		ns[g] = append(ns[g], fmt.Sprint(w.N))
+	}
+	for i, g := range groups {
+		groups[i] = g + " n=" + strings.Join(ns[g], ",")
+	}
+	return fmt.Sprintf("run the standard %d-row workload matrix (%s) instead of one workload; -instances/-n/-alg/-tail are ignored",
+		len(matrixWorkloads), strings.Join(groups, "; "))
 }
 
 // workloadOpts carries the flag settings shared by every workload of a run.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	consensus "github.com/dsrepro/consensus"
@@ -274,5 +275,21 @@ func TestRunWorkload(t *testing.T) {
 				t.Errorf("runWorkload(%+v) code = %d, want 2", c.ws, code)
 			}
 		})
+	}
+}
+
+// TestMatrixHelp: -matrix's help names every row group of matrixWorkloads
+// with its process counts, and the row count.
+func TestMatrixHelp(t *testing.T) {
+	help := matrixHelp()
+	for _, want := range []string{
+		"27-row",
+		"(bounded n=4,8,16,32; aspnes-herlihy n=4,8,16,32; bounded native n=4,8,16,32;",
+		"; bounded commuting n=8,16,32; aspnes-herlihy commuting n=8,32;",
+		"; bounded K=3 n=4; bounded K=4 n=4; bounded M=64 n=4,8; anonymous n=4,8)",
+	} {
+		if !strings.Contains(help, want) {
+			t.Errorf("-matrix help %q lacks %q", help, want)
+		}
 	}
 }

@@ -14,11 +14,12 @@ import (
 
 // engineRow is one configuration the engine-equivalence suite compares.
 type engineRow struct {
-	name  string
-	kind  Kind
-	cfg   Config
-	n     int
-	audit bool // attach the audit monitor at SampleEvery 1 and the profiler
+	name     string
+	kind     Kind
+	cfg      Config
+	n        int
+	audit    bool   // attach the audit monitor at SampleEvery 1 and the profiler
+	mutation string // fault injector armed for the row's runs (audit.EnableMutation)
 }
 
 // tracedRun is everything one execution lets the suite compare.
@@ -71,8 +72,9 @@ func execTraced(t *testing.T, row engineRow, seed int64, rendezvous bool) traced
 // events emitted before a process's first scheduler step (each protocol's
 // initial round advance) arrive in pid order and the comparison is a plain
 // byte-equality check. Every protocol runs at n=4; the other rows cover the
-// step-sequence scan at n=8, its op-by-op path over Bloom arrows, and the
-// audit monitor's register histories and the profiler's hooks.
+// step-sequence scan at n=8, its op-by-op path over Bloom arrows, the audit
+// monitor's register histories and the profiler's hooks, and the torn-scan
+// fault, whose check and retry bookkeeping run inside the scan's ops.
 func TestEnginesByteIdenticalTraces(t *testing.T) {
 	var rows []engineRow
 	for _, kind := range []Kind{KindBounded, KindAHUnbounded, KindExpLocal, KindStrongCoin, KindAbrahamson, KindAnonymous} {
@@ -83,9 +85,16 @@ func TestEnginesByteIdenticalTraces(t *testing.T) {
 		engineRow{name: "bounded/bloom", kind: KindBounded, cfg: Config{UseBloomArrows: true}, n: 4},
 		engineRow{name: "bounded/audit+prof", kind: KindBounded, n: 4, audit: true},
 		engineRow{name: "ah-unbounded/n=8", kind: KindAHUnbounded, n: 8},
+		engineRow{name: "ah-unbounded/scan.torn", kind: KindAHUnbounded, n: 4, audit: true, mutation: "scan.torn"},
 	)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			if row.mutation != "" {
+				if err := audit.EnableMutation(row.mutation); err != nil {
+					t.Fatal(err)
+				}
+				defer audit.DisableAll()
+			}
 			for seed := int64(1); seed <= 4; seed++ {
 				old := execTraced(t, row, seed, true)
 				cur := execTraced(t, row, seed, false)
@@ -114,6 +123,9 @@ func TestEnginesByteIdenticalTraces(t *testing.T) {
 				}
 				if !reflect.DeepEqual(old.violations, cur.violations) {
 					t.Fatalf("seed %d: audit violations diverge: %v vs %v", seed, old.violations, cur.violations)
+				}
+				if row.mutation != "" && len(cur.violations) == 0 {
+					t.Fatalf("seed %d: %s fired no violation", seed, row.mutation)
 				}
 				if !reflect.DeepEqual(old.prof, cur.prof) {
 					t.Fatalf("seed %d: profiler snapshots diverge:\n%+v\nvs\n%+v", seed, old.prof, cur.prof)

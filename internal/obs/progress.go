@@ -23,6 +23,10 @@ type progressBucket struct {
 	count atomic.Int64
 }
 
+// progressClock reads the wall clock, in nanoseconds, for the exported
+// methods; a nil probe returns before reading it.
+var progressClock = func() int64 { return time.Now().UnixNano() }
+
 // BatchProgress is an atomic probe into a running batch: total and completed
 // instance counts plus the wall-clock start, updated by the batch engine's
 // workers (core.RunBatch) and read concurrently by a progress reporter
@@ -41,13 +45,13 @@ type BatchProgress struct {
 // Begin (re)arms the probe for a batch of total instances, stamping the
 // wall-clock start.
 func (p *BatchProgress) Begin(total int) {
-	p.beginAt(total, time.Now().UnixNano())
-}
-
-func (p *BatchProgress) beginAt(total int, nowNano int64) {
 	if p == nil {
 		return
 	}
+	p.beginAt(total, progressClock())
+}
+
+func (p *BatchProgress) beginAt(total int, nowNano int64) {
 	p.total.Store(int64(total))
 	p.completed.Store(0)
 	for i := range p.window {
@@ -59,13 +63,13 @@ func (p *BatchProgress) beginAt(total int, nowNano int64) {
 
 // InstanceDone marks one instance as completed.
 func (p *BatchProgress) InstanceDone() {
-	p.instanceDoneAt(time.Now().UnixNano())
-}
-
-func (p *BatchProgress) instanceDoneAt(nowNano int64) {
 	if p == nil {
 		return
 	}
+	p.instanceDoneAt(progressClock())
+}
+
+func (p *BatchProgress) instanceDoneAt(nowNano int64) {
 	p.completed.Add(1)
 	start := p.startNano.Load()
 	if start == 0 || nowNano < start {
@@ -113,13 +117,13 @@ type ProgressSnapshot struct {
 // Snapshot reads the probe. Safe to call concurrently with worker updates; a
 // nil probe returns the zero snapshot.
 func (p *BatchProgress) Snapshot() ProgressSnapshot {
-	return p.snapshotAt(time.Now().UnixNano())
-}
-
-func (p *BatchProgress) snapshotAt(nowNano int64) ProgressSnapshot {
 	if p == nil {
 		return ProgressSnapshot{}
 	}
+	return p.snapshotAt(progressClock())
+}
+
+func (p *BatchProgress) snapshotAt(nowNano int64) ProgressSnapshot {
 	s := ProgressSnapshot{
 		Total:     p.total.Load(),
 		Completed: p.completed.Load(),

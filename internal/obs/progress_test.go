@@ -31,12 +31,20 @@ func TestBatchProgressLifecycle(t *testing.T) {
 	}
 }
 
+// TestBatchProgressNilSafe: a nil probe is a no-op that costs one branch,
+// so none of its three methods reads the clock.
 func TestBatchProgressNilSafe(t *testing.T) {
+	reads := 0
+	defer func(c func() int64) { progressClock = c }(progressClock)
+	progressClock = func() int64 { reads++; return time.Now().UnixNano() }
 	var p *BatchProgress
 	p.Begin(5)
 	p.InstanceDone()
 	if s := p.Snapshot(); s != (ProgressSnapshot{}) {
 		t.Errorf("nil probe snapshot: %+v", s)
+	}
+	if reads != 0 {
+		t.Errorf("a nil probe read the clock %d times, want 0", reads)
 	}
 }
 

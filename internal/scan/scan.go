@@ -20,6 +20,7 @@ package scan
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/dsrepro/consensus/internal/obs"
@@ -72,10 +73,13 @@ type Memory[T any] interface {
 // write's arrow-set follows the first write's value-write, which follows the
 // scanner's clear).
 //
-// A classic scan pass is two step sequences (sched.StepSeq): the arrow clears
-// plus both collects, then the arrow re-reads up to the first dirty slot. A
-// write is one: the arrow sets, then the value write. With Bloom arrows,
-// whose operations take two steps each, the same ops run in a plain loop.
+// A classic scan is one step sequence (sched.StepSeq) from its first arrow
+// clear to its clean re-read: pass after pass of arrow clears, both collects
+// and the arrow re-reads up to the first dirty slot, with a dirty pass's
+// retry bookkeeping, which takes no step, run by the op that found it dirty.
+// A write is one too: the arrow sets, then the value write. With Bloom
+// arrows, whose operations take two steps each, the same ops run in a plain
+// loop.
 type Arrow[T any] struct {
 	n      int
 	sink   *obs.Sink
@@ -139,25 +143,25 @@ func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 // toggle bits of its two collects and out is its result buffer: the first
 // collect keeps only toggle bits, and the second copies each value once,
 // straight into out. A steady-state scan performs zero allocations (the
-// returned view is reused; see Memory.Scan); the other fields are what a
-// classic pass's ops record for the process code between its runs. The state
-// belongs to i: it is used by i's body and, during an inline step-sequence op
-// of i, by the token holder's coroutine, never concurrently. The three runs
-// are the named types below.
+// returned view is reused; see Memory.Scan); the other fields are where a
+// classic scan's ops keep their place across passes. The state belongs to i:
+// it is used by i's body and, during an inline step-sequence op of i, by the
+// token holder's coroutine, never concurrently. The two runs are the named
+// types below.
 type arrowOps[T any] struct {
 	a             *Arrow[T]
 	i             int
 	t1, t2        []bool
 	out           []T
-	firstMismatch int  // first slot whose toggles differ between the collects, or n
-	dirtyAt       int  // first dirty slot of the arrow re-read, or -1
-	dirtyArrow    bool // dirtyAt's arrow was set
+	firstMismatch int   // first slot whose toggles differ between the pass's collects, or n
+	pass          int   // op index of the current pass's first op
+	tries         int64 // dirty passes of the current scan
+	passStart     int64 // Steps at the current pass's start (profiled runs only)
 }
 
 type (
-	collectRun[T any] arrowOps[T] // clear n-1 arrows, then collect twice
-	recheckRun[T any] arrowOps[T] // re-read the arrows up to the first dirty slot
-	writeRun[T any]   arrowOps[T] // set n-1 arrows, then write the value
+	scanRun[T any]  arrowOps[T] // passes of clear, collect twice, re-read, until one is clean
+	writeRun[T any] arrowOps[T] // set n-1 arrows, then write the value
 )
 
 // slot maps the k-th of the n-1 other slots to its pid: k skips over i.
@@ -168,40 +172,63 @@ func slot(k, i int) int {
 	return k
 }
 
-// Op implements sched.Seq: ops [0, n-1) clear the arrows, [n-1, 2(n-1)) are
-// the first collect, which keeps only the toggle bits, and the rest the second
-// collect, which reads each value straight into the view, fused with the
-// toggle comparison (register-local, no scheduler step), so a clean scan
-// makes one pass over the collect buffers.
-func (r *collectRun[T]) Op(p *sched.Proc, k int) bool {
+// Op implements sched.Seq. Passes vary in length and k counts on across
+// them, so q = k-pass is the op's place in the current pass: [0, m) clear the
+// m = n-1 arrows, [m, 2m) are the first collect, which keeps only the toggle
+// bits, [2m, 3m) the second collect, which reads each value straight into the
+// view, fused with the toggle comparison (register-local, no scheduler step),
+// and the rest re-read the arrows. The re-reads stop at the first dirty slot
+// (set arrow or toggle mismatch), which is also the blame culprit: the arrow
+// (or toggle) was tripped by writer j's register. A dirty slot retries the
+// pass; the last clean re-read ends the run.
+func (r *scanRun[T]) Op(p *sched.Proc, k int) bool {
 	a, i, m := r.a, r.i, r.a.n-1
-	switch {
-	case k < m:
-		a.arrows[i][slot(k, i)].Write(p, false)
-	case k < 2*m:
-		j := slot(k-m, i)
+	switch q := k - r.pass; {
+	case q < m:
+		a.arrows[i][slot(q, i)].Write(p, false)
+	case q < 2*m:
+		j := slot(q-m, i)
 		r.t1[j] = a.vals[j].ReadTo(p, nil)
-	default:
-		j := slot(k-2*m, i)
+	case q < 3*m:
+		j := slot(q-2*m, i)
 		r.t2[j] = a.vals[j].ReadTo(p, &r.out[j])
 		if r.firstMismatch == a.n && r.t1[j] != r.t2[j] {
 			r.firstMismatch = j
 		}
+	default:
+		q -= 3 * m
+		if q == 0 && MutTornScan.Load() {
+			r.firstMismatch = a.n // fault injection: ignore the handshake
+		}
+		j := slot(q, i)
+		set := a.arrows[i][j].Read(p)
+		if set || j == r.firstMismatch {
+			r.retry(p, j, set)
+			r.pass, r.firstMismatch = k+1, a.n
+			return true
+		}
+		return q < m-1
 	}
 	return true
 }
 
-// Op implements sched.Seq: re-read arrow k and stop at the first dirty slot
-// (set arrow or toggle mismatch), which is also the blame culprit: the arrow
-// (or toggle) was tripped by writer j's register.
-func (r *recheckRun[T]) Op(p *sched.Proc, k int) bool {
-	j := slot(k, r.i)
-	set := r.a.arrows[r.i][j].Read(p)
-	if set || j == r.firstMismatch {
-		r.dirtyAt, r.dirtyArrow = j, set
-		return false
+// retry does a dirty pass's bookkeeping, where slot j's re-read found its
+// arrow set or else its toggles mismatched. It takes no step and runs right
+// after the re-read's grant, before the next consult, so Now and Steps read
+// what the process would read there itself.
+func (r *scanRun[T]) retry(p *sched.Proc, j int, set bool) {
+	a, i := r.a, r.i
+	a.retries[i].Add(1)
+	r.tries++
+	a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.ScanRetry, Value: r.tries})
+	if a.prof.Enabled() {
+		reason := prof.BlameToggle
+		if set {
+			reason = prof.BlameArrow
+		}
+		a.prof.ScanRetry(i, j, reason, p.Steps()-r.passStart, p.Now())
+		r.passStart = p.Steps()
 	}
-	return true
 }
 
 // Op implements sched.Seq: ops [0, n-1) set the arrows in every other
@@ -357,63 +384,42 @@ func (a *Arrow[T]) Write(p *sched.Proc, v T) {
 }
 
 // Scan implements Memory: clear arrows, double-collect, re-read arrows, retry
-// until a clean pass. Not wait-free, but lock-free in the paper's sense: a
-// retry implies some other process completed a new write.
+// until a clean pass, all as one run (scanRun). Not wait-free, but lock-free
+// in the paper's sense: a retry implies some other process completed a new
+// write. With n=1 there is nothing to collect and a scan takes no step.
 func (a *Arrow[T]) Scan(p *sched.Proc) []T {
 	if a.epoch {
 		return a.scanEpoch(p)
 	}
 	i := p.ID()
-	r, m := &a.ops[i], a.n-1
-	t1, t2, out := r.t1, r.t2, r.out
-	var tries, passStart int64
-	for {
-		if a.prof.Enabled() {
-			passStart = p.Steps()
-		}
-		r.firstMismatch = a.n
-		a.run(p, (*collectRun[T])(r), 3*m)
-		if MutTornScan.Load() {
-			r.firstMismatch = a.n // fault injection: ignore the handshake
-		}
-		// Arrow re-reads are scheduler steps, so they must happen for exactly
-		// the prefix an unfused check would have read: every j up to and
-		// including the first dirty slot.
-		r.dirtyAt = -1
-		a.run(p, (*recheckRun[T])(r), m)
-		if r.dirtyAt < 0 {
-			if a.mon.Enabled() {
-				// Independent handshake audit: re-compare the two collects'
-				// toggle bits (register-local, no scheduler steps). A returning
-				// scan whose collects disagree is a torn double collect.
-				firstBad := -1
-				for j := 0; j < a.n; j++ {
-					if j != i && t1[j] != t2[j] {
-						firstBad = j
-						break
-					}
-				}
-				a.mon.ScanHandshake(p.Now(), i, firstBad)
-			}
-			a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.ScanClean, Value: tries})
-			a.sink.Observe(obs.HistScanRetries, tries)
-			out[i] = a.local[i]
-			if a.prof.Enabled() {
-				a.prof.CleanScan(i, p.Now(), p.Steps())
-			}
-			return out
-		}
-		a.retries[i].Add(1)
-		tries++
-		a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.ScanRetry, Value: tries})
-		if a.prof.Enabled() {
-			reason := prof.BlameToggle
-			if r.dirtyArrow {
-				reason = prof.BlameArrow
-			}
-			a.prof.ScanRetry(i, r.dirtyAt, reason, p.Steps()-passStart, p.Now())
-		}
+	r := &a.ops[i]
+	r.firstMismatch, r.pass, r.tries = a.n, 0, 0
+	if a.prof.Enabled() {
+		r.passStart = p.Steps()
 	}
+	if a.n > 1 {
+		a.run(p, (*scanRun[T])(r), math.MaxInt)
+	}
+	if a.mon.Enabled() {
+		// Independent handshake audit: re-compare the two collects' toggle
+		// bits (register-local, no scheduler steps). A returning scan whose
+		// collects disagree is a torn double collect.
+		firstBad := -1
+		for j := 0; j < a.n; j++ {
+			if j != i && r.t1[j] != r.t2[j] {
+				firstBad = j
+				break
+			}
+		}
+		a.mon.ScanHandshake(p.Now(), i, firstBad)
+	}
+	a.sink.Emit(obs.Event{Step: p.Now(), Pid: i, Kind: obs.ScanClean, Value: r.tries})
+	a.sink.Observe(obs.HistScanRetries, r.tries)
+	r.out[i] = a.local[i]
+	if a.prof.Enabled() {
+		a.prof.CleanScan(i, p.Now(), p.Steps())
+	}
+	return r.out
 }
 
 // Epoch-path tuning: hotTrips is how many consecutive passes a register must

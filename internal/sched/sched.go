@@ -160,16 +160,20 @@ func (p *Proc) Step() {
 	p.steps++
 }
 
-// Seq is a step sequence: a fixed run of atomic steps with no process code
-// between them, such as the arrow clears and collects of a scan pass.
+// Seq is a step sequence: a run of atomic steps with no process code between
+// them, such as a scan's passes of arrow clears, collects and arrow re-reads.
+// Its ops may decide its length: a run ends at the first op that reports
+// false.
 type Seq interface {
 	// Op performs step k of the run, which is exactly one register operation
-	// (one Step), and reports whether the run goes on.
+	// (one Step) plus any bookkeeping that takes no step, and reports whether
+	// the run goes on.
 	Op(p *Proc, k int) bool
 }
 
 // StepSeq performs ops 0..n-1 of s as p's next n steps, stopping early after
-// an op that reports false, and returns how many ops ran. An op that takes no
+// an op that reports false, and returns how many ops ran; an n the ops never
+// reach (math.MaxInt) leaves the run's length to them. An op that takes no
 // Step or more than one panics, naming p and the op index.
 //
 // Under the sequential policy the process is resumed only when its run ends:
