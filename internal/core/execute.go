@@ -142,22 +142,17 @@ type ExecConfig struct {
 	// cost. Protocol events (round advances, preference changes, coin flips,
 	// decisions) reach its recorder in scheduler order; those emitted before
 	// a process's first scheduler step (each protocol's initial round
-	// advance) arrive in pid order, because both engines serialize body
-	// startup, so the whole event stream is deterministic. Recorder calls are
-	// totally ordered with happens-before edges (startup arrival signals,
-	// then token handoffs), so a recorder needs no locking of its own. For
+	// advance) arrive in pid order, because the step engine resumes the
+	// bodies one at a time in pid order at startup, so the whole event stream
+	// is deterministic. Recorder calls are totally ordered with
+	// happens-before edges (the coroutine switches of startup and of every
+	// token handoff), so a recorder needs no locking of its own. For
 	// the same reason a step-serialized run counts its events into a
 	// run-local view of the sink (obs.Sink.Local) with plain adds: the
 	// counters reach the registry in one flush when the run ends, so a
 	// mid-run registry read sees the run's counts then. Native runs count
 	// with atomic adds as they go.
 	Sink *obs.Sink
-
-	// Rendezvous selects the legacy rendezvous step engine (test-only; see
-	// sched.Config.Rendezvous). Used by the engine-equivalence suite to prove
-	// protocol-level executions are byte-identical under both engines.
-	// Ignored when Substrate is non-nil.
-	Rendezvous bool
 
 	// Commuting selects the commuting-step dispatch engine (see
 	// sched.Config.Commuting): the adversary's pick seeds a batch of steps
@@ -300,14 +295,13 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 		Values:  make([]int, n),
 	}
 	runCfg := sched.Config{
-		N:          n,
-		Seed:       ec.Seed,
-		Adversary:  ec.Adversary,
-		MaxSteps:   ec.MaxSteps,
-		Sink:       sink,
-		Rendezvous: ec.Rendezvous,
-		Commuting:  ec.Commuting,
-		OnStep:     ec.OnStep,
+		N:         n,
+		Seed:      ec.Seed,
+		Adversary: ec.Adversary,
+		MaxSteps:  ec.MaxSteps,
+		Sink:      sink,
+		Commuting: ec.Commuting,
+		OnStep:    ec.OnStep,
 	}
 	body := func(p *sched.Proc) {
 		v := proto.Run(p, ec.Inputs[p.ID()])

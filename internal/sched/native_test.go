@@ -141,8 +141,8 @@ func TestSimulatedSubstrateMatchesRun(t *testing.T) {
 }
 
 // TestProcRacesOnlyOnNative pins which gates race: a native process's steps
-// race the other goroutines', while every serialized engine (sequential,
-// commuting, rendezvous) orders steps itself.
+// race the other goroutines', while the dispatcher orders steps itself under
+// either grant policy.
 func TestProcRacesOnlyOnNative(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -152,7 +152,6 @@ func TestProcRacesOnlyOnNative(t *testing.T) {
 	}{
 		{"sequential", Run, Config{N: 2}, false},
 		{"commuting", Run, Config{N: 2, Commuting: true}, false},
-		{"rendezvous", Run, Config{N: 2, Rendezvous: true}, false},
 		{"native", NewNative(NativeOptions{}).Run, Config{N: 2}, true},
 	} {
 		var wrong atomic.Int64

@@ -40,11 +40,10 @@
 // raises its own language version with the go1.23 build constraint above
 // instead; building the package needs a Go 1.23 or later toolchain.
 //
-// The legacy rendezvous engine (Config.Rendezvous, test-only) has a dedicated
-// scheduler goroutine mediate every step through an event send plus a grant
-// send — two channel crossings per atomic step. It stays as the equivalence
-// suites' reference: they prove the dispatcher's executions byte-identical
-// to it.
+// The tests check the dispatcher's grants against a sequential model of the
+// grant contract (equiv_test.go) and its inline step-sequence ops against the
+// same ops called by each process in a plain loop (seq_test.go); internal/core
+// pins protocol executions, grant sequences included, as golden hashes.
 //
 // Real concurrency, where processes race as plain goroutines and atomicity
 // rests on the register implementations, is the native Substrate (NewNative).
@@ -56,8 +55,6 @@ import (
 	"iter"
 	"math/rand"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"github.com/dsrepro/consensus/internal/obs"
 )
@@ -128,9 +125,9 @@ func (p *Proc) Steps() int64 { return p.steps }
 
 // Races reports whether this process's steps race other processes' in real
 // time: true only on the native substrate, whose processes run as plain
-// goroutines with no arbiter. Every other gate serializes steps through
-// coroutine switches or channel handoffs, so an access between one Step and
-// the next needs no lock of its own.
+// goroutines with no arbiter. The dispatcher serializes steps through
+// coroutine switches, so an access between one Step and the next needs no
+// lock of its own.
 func (p *Proc) Races() bool { return p.races }
 
 // Now returns the global step count at the time of the call. It is used by
@@ -218,9 +215,8 @@ func (p *Proc) DeclareRead(key int64) { p.fpKey, p.fpWrite = key, false }
 // identified by key. See DeclareRead.
 func (p *Proc) DeclareWrite(key int64) { p.fpKey, p.fpWrite = key, true }
 
-// newProc builds the per-process handle; the RNG derivation is shared by every
-// engine and substrate so a seed reproduces identical private coins
-// everywhere.
+// newProc builds the per-process handle; the RNG derivation is shared by both
+// substrates so a seed reproduces identical private coins everywhere.
 func newProc(id int, seed int64, g gate) *Proc {
 	_, races := g.(*nativeGate)
 	return &Proc{
@@ -270,20 +266,12 @@ type Config struct {
 	// update when the run ends, so a mid-run registry read sees them then.
 	Sink *obs.Sink
 
-	// Rendezvous selects the legacy per-step rendezvous engine (a dedicated
-	// scheduler goroutine, two channel crossings per step) instead of the
-	// direct-dispatch engine. The two engines produce byte-identical
-	// executions — identical grant sequences, step accounting, traces and
-	// decisions per seed. The flag exists only so the equivalence tests can
-	// prove that; the rendezvous engine stays as their reference.
-	Rendezvous bool
-
 	// Commuting selects the commuting grant policy (see commute.go): each
 	// adversary consult opens a batch of pairwise-commuting steps and every
 	// batch member receives a run of up to commuteQuantum (64) steps before
 	// the adversary is consulted again. Executions remain sequential and
 	// deterministic, and every produced schedule replays byte-identically
-	// under the sequential policy. Ignored when Rendezvous is set.
+	// under the sequential policy.
 	Commuting bool
 }
 
@@ -593,9 +581,6 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("sched: invalid N=%d", cfg.N)
 	}
-	if cfg.Rendezvous {
-		return runRendezvous(cfg, body)
-	}
 	adv := cfg.Adversary
 	if adv == nil {
 		adv = NewRoundRobin()
@@ -669,188 +654,4 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 		res.WaitSteps[i] = d.slots[i].waitSteps
 	}
 	return res, d.err
-}
-
-// event is how process goroutines talk to the rendezvous scheduler loop.
-type event struct {
-	pid  int
-	done bool // true: body returned (or halted); false: requesting a step
-}
-
-// runner implements gate for the legacy rendezvous engine.
-type runner struct {
-	events  chan event
-	grants  []chan bool     // per-pid; false grant means halt
-	arrived []chan struct{} // closed at the proc's first Step (or finish without one)
-	clock   atomic.Int64
-}
-
-func (r *runner) step(p *Proc) {
-	if p.steps == 0 {
-		// Signal arrival before blocking on the (unbuffered) event channel:
-		// during serialized startup the spawner is waiting on this signal and
-		// the scheduler loop is not yet consuming events.
-		close(r.arrived[p.id])
-	}
-	r.events <- event{pid: p.id}
-	if ok := <-r.grants[p.id]; !ok {
-		panic(haltSignal{})
-	}
-}
-
-func (r *runner) now() int64 { return r.clock.Load() }
-
-// runRendezvous is the legacy engine: a dedicated scheduler goroutine grants
-// steps one event/grant rendezvous at a time. Kept behind Config.Rendezvous
-// only for the engine-equivalence tests.
-func runRendezvous(cfg Config, body func(*Proc)) (Result, error) {
-	adv := cfg.Adversary
-	if adv == nil {
-		adv = NewRoundRobin()
-	}
-
-	r := &runner{
-		events:  make(chan event),
-		grants:  make([]chan bool, cfg.N),
-		arrived: make([]chan struct{}, cfg.N),
-	}
-	res := Result{
-		PerProc:   make([]int64, cfg.N),
-		WaitSteps: make([]int64, cfg.N),
-		Finished:  make([]bool, cfg.N),
-	}
-	// enqueuedAt[pid] is the global step count when pid last entered the
-	// waiting set; the grant charges the elapsed steps as wait time.
-	enqueuedAt := make([]int64, cfg.N)
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		r.grants[i] = make(chan bool, 1)
-		r.arrived[i] = make(chan struct{})
-		p := newProc(i, cfg.Seed, r)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(haltSignal); !ok {
-						panic(rec) // real bug in the algorithm body: propagate
-					}
-					r.events <- event{pid: p.id, done: true}
-				}
-			}()
-			body(p)
-			if p.steps == 0 {
-				// Never called Step: returning is this proc's arrival. Close
-				// before the (blocking) done send so the spawner can proceed.
-				close(r.arrived[p.id])
-			}
-			r.events <- event{pid: p.id, done: true}
-		}()
-		// Serialized startup, mirroring the dispatch engine: pre-Step
-		// preamble code (which may emit trace events) executes in pid order,
-		// keeping traces byte-deterministic. Grant order is unaffected — the
-		// loop below only consults the adversary once all procs are parked.
-		<-r.arrived[i]
-	}
-
-	// Scheduler loop. Invariant: inflight counts goroutines that are running
-	// user code (granted, or not yet blocked for the first time). We only
-	// consult the adversary when inflight == 0, i.e. every live process is
-	// parked in Step, so the grant order fully determines the interleaving.
-	var err error
-	inflight := cfg.N
-	live := cfg.N
-	waiting := make([]int, 0, cfg.N)
-	halted := false
-
-	halt := func() {
-		if halted {
-			return
-		}
-		halted = true
-		for _, pid := range waiting {
-			r.grants[pid] <- false
-		}
-		inflight += len(waiting) // woken goroutines are now running their halt path
-		waiting = waiting[:0]
-	}
-
-	for live > 0 {
-		for inflight > 0 {
-			ev := <-r.events
-			if ev.done {
-				live--
-				inflight--
-				if !halted {
-					res.Finished[ev.pid] = true
-				}
-				continue
-			}
-			if halted {
-				// Late Step request after halt began: refuse immediately. The
-				// goroutine stays in flight; it will report done via its
-				// halt-panic recovery path.
-				r.grants[ev.pid] <- false
-				continue
-			}
-			waiting = insertSorted(waiting, ev.pid)
-			enqueuedAt[ev.pid] = res.Steps
-			inflight--
-		}
-		if live == 0 {
-			break
-		}
-		if halted {
-			continue
-		}
-		if cfg.MaxSteps > 0 && res.Steps >= cfg.MaxSteps {
-			err = ErrStepBudget
-			halt()
-			continue
-		}
-		pick := adv.Next(waiting, res.Steps)
-		if pick == -1 {
-			err = ErrStalled
-			halt()
-			continue
-		}
-		idx := indexOf(waiting, pick)
-		if idx < 0 {
-			panic(fmt.Sprintf("sched: adversary picked pid %d not in waiting set %v", pick, waiting))
-		}
-		waiting = append(waiting[:idx], waiting[idx+1:]...)
-		res.WaitSteps[pick] += res.Steps - enqueuedAt[pick]
-		res.Steps++
-		res.PerProc[pick]++
-		r.clock.Store(res.Steps)
-		cfg.Sink.Count(obs.SchedGrant)
-		if cfg.OnStep != nil {
-			cfg.OnStep(pick, res.Steps)
-		}
-		inflight++
-		r.grants[pick] <- true
-	}
-	wg.Wait()
-	return res, err
-}
-
-func insertSorted(s []int, v int) []int {
-	i := 0
-	for i < len(s) && s[i] < v {
-		i++
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

@@ -373,15 +373,3 @@ func TestRunTeardownLeavesNoProcesses(t *testing.T) {
 		}
 	}
 }
-
-func TestInsertSortedKeepsOrder(t *testing.T) {
-	s := []int{}
-	for _, v := range []int{5, 1, 3, 2, 4, 0} {
-		s = insertSorted(s, v)
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] != i {
-			t.Fatalf("insertSorted produced %v", s)
-		}
-	}
-}

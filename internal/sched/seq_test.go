@@ -36,9 +36,22 @@ type seqRun struct {
 	counts [][]int   // per pid: what each StepSeq returned
 }
 
+// loopSeq is StepSeq's reference: p calls ops 0..n-1 of s itself in a plain
+// loop, stopping after an op that reports false, and so runs every op in its
+// own process.
+func loopSeq(p *Proc, s Seq, n int) int {
+	for k := 0; k < n; k++ {
+		if !s.Op(p, k) {
+			return k + 1
+		}
+	}
+	return n
+}
+
 // runSeqBody runs a body that mixes plain Steps with step sequences of every
-// length from 0 to 6, whose ops stop early on a rule of (pid, k, Steps).
-func runSeqBody(t *testing.T, cfg Config) seqRun {
+// length from 0 to 6, whose ops stop early on a rule of (pid, k, Steps). The
+// body runs each sequence through seq: StepSeq or its reference loopSeq.
+func runSeqBody(t *testing.T, cfg Config, seq func(*Proc, Seq, int) int) seqRun {
 	t.Helper()
 	r := seqRun{ops: make([][]opRec, cfg.N), counts: make([][]int, cfg.N)}
 	op := seqFunc(func(p *Proc, k int) bool {
@@ -52,28 +65,29 @@ func runSeqBody(t *testing.T, cfg Config) seqRun {
 		i := p.ID()
 		for round := 0; round < 12; round++ {
 			p.Step()
-			r.counts[i] = append(r.counts[i], p.StepSeq(op, (i+round)%7))
+			r.counts[i] = append(r.counts[i], seq(p, op, (i+round)%7))
 		}
 	})
 	return r
 }
 
-// TestStepSeqMatchesRendezvous checks the dispatcher's inline ops against the
-// rendezvous engine, which runs every op in its own process: for every op the
-// (Now before its Step, Now after it, Steps) triple, every StepSeq count, the
-// grant sequence and the Result must be identical.
-func TestStepSeqMatchesRendezvous(t *testing.T) {
+// TestStepSeqMatchesLoop checks the dispatcher's inline ops against the same
+// ops called by each process in a plain loop on the same dispatcher, which
+// runs every op in its own process: for every op the (Now before its Step,
+// Now after it, Steps) triple, every StepSeq count, the grant sequence and
+// the Result must be identical.
+func TestStepSeqMatchesLoop(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		for _, adv := range equivAdversaries {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("n=%d/%s/seed=%d", n, adv.name, seed), func(t *testing.T) {
-					mk := func(rendezvous bool) Config {
-						return Config{N: n, Seed: seed, Adversary: adv.mk(n, seed), Rendezvous: rendezvous}
+					mk := func() Config {
+						return Config{N: n, Seed: seed, Adversary: adv.mk(n, seed)}
 					}
-					want := runSeqBody(t, mk(true))
-					got := runSeqBody(t, mk(false))
+					want := runSeqBody(t, mk(), loopSeq)
+					got := runSeqBody(t, mk(), (*Proc).StepSeq)
 					if want.err != got.err {
-						t.Fatalf("error: rendezvous=%v dispatch=%v", want.err, got.err)
+						t.Fatalf("error: loop=%v StepSeq=%v", want.err, got.err)
 					}
 					for name, pair := range map[string][2]any{
 						"grants":    {want.grants, got.grants},
@@ -84,7 +98,7 @@ func TestStepSeqMatchesRendezvous(t *testing.T) {
 						"counts":    {want.counts, got.counts},
 					} {
 						if !reflect.DeepEqual(pair[0], pair[1]) {
-							t.Fatalf("%s diverge:\nrendezvous=%v\ndispatch=%v", name, pair[0], pair[1])
+							t.Fatalf("%s diverge:\nloop=%v\nStepSeq=%v", name, pair[0], pair[1])
 						}
 					}
 				})
@@ -93,9 +107,9 @@ func TestStepSeqMatchesRendezvous(t *testing.T) {
 	}
 }
 
-// TestStepSeqCounts checks StepSeq's count on every engine and substrate: a
-// full run returns n, an early stop returns the ops that ran, and n = 0 takes
-// no step.
+// TestStepSeqCounts checks StepSeq's count under both grant policies and on
+// the native substrate: a full run returns n, an early stop returns the ops
+// that ran, and n = 0 takes no step.
 func TestStepSeqCounts(t *testing.T) {
 	stopAt2 := seqFunc(func(p *Proc, k int) bool {
 		p.Step()
@@ -119,7 +133,6 @@ func TestStepSeqCounts(t *testing.T) {
 	}{
 		{"sequential", Run, Config{}},
 		{"commuting", Run, Config{Commuting: true}},
-		{"rendezvous", Run, Config{Rendezvous: true}},
 		{"native", NewNative(NativeOptions{}).Run, Config{}},
 	}
 	for _, e := range engines {
