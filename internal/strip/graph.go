@@ -312,6 +312,17 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
+	// The pass above skips s == v, and distances() never relaxes d[v][v], so
+	// a positive cycle through v that no node off it reaches passes it. Such
+	// a cycle closes with an edge (u,v) whose weight, added to the longest
+	// path from v to u, exceeds dist(v,v) = 0.
+	for u := 0; u < g.N; u++ {
+		for v := 0; v < g.N; v++ {
+			if u != v && g.Has[u][v] && d[v][u] >= 0 && d[v][u]+g.W[u][v] > 0 {
+				return fmt.Errorf("strip: positive cycle through %d closed by edge (%d,%d)", v, u, v)
+			}
+		}
+	}
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
 			if d[i][j] > g.K*g.N {

@@ -409,6 +409,20 @@ func TestGraphValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestGraphValidateCatchesCycleThroughSource: a positive cycle through every
+// node has no node off the cycle that reaches it, so only the check that
+// closes each cycle at its own source sees it. This graph (0→1 weight 1,
+// 0↔2 and 1↔2 ties, K=2) is the one the bounded strip publishes in the n=3
+// stale-clamp counterexample.
+func TestGraphValidateCatchesCycleThroughSource(t *testing.T) {
+	g := NewGraph(3, 2) // all tied
+	g.Has[1][0] = false
+	g.W[0][1] = 1
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted the positive cycle 0→1→2→0")
+	}
+}
+
 func TestGraphCloneIsDeep(t *testing.T) {
 	g := FromPositions([]int{0, 3}, 2)
 	c := g.Clone()
