@@ -12,9 +12,11 @@ all: vet test build
 #     which `go test ./...` does not descend into), then perfbench-smoke, a
 #     brief run of each gated workload in both modes against the committed
 #     fingerprints;
-#   - a benchmark smoke pass: the solve, scheduler-engine, register-operation,
-#     adversary-consult and contended-scan microbenchmarks compile and run
-#     briefly;
+#   - a benchmark smoke pass: the solve, batch, scheduler-engine,
+#     register-operation, adversary-consult and contended-scan microbenchmarks
+#     compile and run briefly, with allocations reported (the batch's
+#     anonymous n=8 case is perfbench's anon-n8 chunk, where allocation per
+#     instance shows);
 #   - an audit smoke pass: every protocol under the online invariant monitor
 #     with sampled probes run at every opportunity (consensus-sim exits
 #     non-zero if any fires);
@@ -29,15 +31,16 @@ all: vet test build
 #     completeness, the traceview -tail views);
 #   - a benchdiff self-compare, to keep the regression gate runnable;
 #   - `go test ./...`, then a -short -race pass over the whole module. The
-#     race pass covers the batch worker pool, the dispatcher's grant-model
-#     and step-sequence suites, the execution goldens, the substrate
-#     conformance suite, the native preemption sweep and the commuting replay
-#     suite. Both run last, so a red package test fails ci only after every
-#     other gate has run.
+#     race pass covers the batch worker pool, the process-generator pool
+#     (two goroutines running the scheduler at once), the dispatcher's
+#     grant-model and step-sequence suites, the execution goldens, the
+#     substrate conformance suite, the native preemption sweep and the
+#     commuting replay suite. Both run last, so a red package test fails ci
+#     only after every other gate has run.
 ci: fmt-check vet build
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) perfbench-smoke
-	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkSchedulerStep|BenchmarkRegisterOps|BenchmarkAdversaryNext|BenchmarkArrowScanContended' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/ ./internal/scan/
+	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkSolveBatch|BenchmarkDispatch|BenchmarkSchedulerStep|BenchmarkRegisterOps|BenchmarkAdversaryNext|BenchmarkArrowScanContended' -benchmem -benchtime 0.2s -timeout 600s . ./internal/sched/ ./internal/register/ ./internal/scan/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done

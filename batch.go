@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -154,7 +155,10 @@ func (r BatchResult) StepsPercentile(p float64) int64 {
 // SolveBatch runs cfg.Instances independent consensus instances over a pool
 // of cfg.Parallel workers and aggregates the outcomes. Each worker owns an
 // arena of pooled protocol state, so consecutive same-shaped instances reuse
-// one register fabric instead of reallocating it.
+// one register fabric instead of reallocating it. Every instance's config is
+// resolved and checked before any runs; the worker that runs a simulated
+// instance builds its adversary just before starting it, so a queued
+// instance holds no generator state.
 //
 // The returned error reports configuration problems only; per-instance
 // failures (step budget, stalls) land in BatchResult.Errors.
@@ -163,6 +167,9 @@ func SolveBatch(cfg BatchConfig) (BatchResult, error) {
 		return BatchResult{}, fmt.Errorf("consensus: BatchConfig.Instances must be >= 1, got %d", cfg.Instances)
 	}
 	instances := make([]core.Instance, cfg.Instances)
+	// scheds[k] is instance k's schedule as PerInstance left it; the worker
+	// that runs a simulated instance builds its adversary from it.
+	scheds := make([]Schedule, cfg.Instances)
 	var mons []*audit.Monitor  // indexed by instance; nil when auditing is off
 	var profs []*prof.Profiler // indexed by instance; nil when profiling is off
 	var meters []*space.Meter  // indexed by instance; nil when metering is off
@@ -175,6 +182,9 @@ func SolveBatch(cfg BatchConfig) (BatchResult, error) {
 		if c.TraceWriter != nil || c.TraceJSONL != nil || c.Recorder != nil {
 			return BatchResult{}, fmt.Errorf("consensus: trace surfaces are not supported in SolveBatch; trace a single instance with Solve (batch instance %d)", k)
 		}
+		// The adversary is built when the instance runs, so take the crash
+		// steps now: PerInstance may go on to change a map it reuses.
+		c.Schedule.CrashAt = maps.Clone(c.Schedule.CrashAt)
 		inst, err := c.instance()
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("%w (batch instance %d)", err, k)
@@ -213,6 +223,7 @@ func SolveBatch(cfg BatchConfig) (BatchResult, error) {
 		}
 		inst.Latency = c.Latency
 		instances[k] = inst
+		scheds[k] = c.Schedule
 	}
 
 	// One sink serves the whole batch: every registry mutation path is an
@@ -224,7 +235,13 @@ func SolveBatch(cfg BatchConfig) (BatchResult, error) {
 	if sink == nil {
 		sink = obs.NewSink(nil)
 	}
-	outs := core.RunBatchProgress(cfg.Parallel, sink, cfg.Progress, instances)
+	outs := core.RunBatchProgress(cfg.Parallel, sink, cfg.Progress, cfg.Instances, func(k int) core.Instance {
+		inst := instances[k]
+		if inst.Substrate == nil {
+			inst.Adversary = scheds[k].adversary(inst.Seed)
+		}
+		return inst
+	})
 
 	res := BatchResult{
 		Decisions: make([]int, cfg.Instances),

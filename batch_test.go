@@ -2,9 +2,13 @@ package consensus
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"github.com/dsrepro/consensus/internal/core"
 	"github.com/dsrepro/consensus/internal/obs"
 )
 
@@ -205,6 +209,113 @@ func TestSolveBatchValidation(t *testing.T) {
 	if _, err := SolveBatch(cfg); err == nil {
 		t.Error("trace surfaces injected via PerInstance must be rejected")
 	}
+	// The workers build the adversaries, but an unknown schedule kind must
+	// still fail the batch before any instance runs.
+	cfg = batchConfig(3, 2)
+	cfg.Progress = &obs.BatchProgress{}
+	cfg.PerInstance = func(k int, c *Config) {
+		if k == 2 {
+			c.Schedule.Kind = 99
+		}
+	}
+	if _, err := SolveBatch(cfg); err == nil {
+		t.Error("an unknown schedule kind injected via PerInstance must be rejected")
+	}
+	if snap := cfg.Progress.Snapshot(); snap.Total != 0 || snap.Completed != 0 {
+		t.Errorf("instances ran before the bad schedule was refused: %+v", snap)
+	}
+}
+
+// TestSolveBatchCrashMapAsPerInstanceLeftIt: each instance's adversary is
+// built when it runs, yet it must see the crash steps PerInstance set for it,
+// even when PerInstance reuses one map and changes it for later instances.
+func TestSolveBatchCrashMapAsPerInstanceLeftIt(t *testing.T) {
+	const m = 6
+	run := func(reuse bool) BatchResult {
+		cfg := batchConfig(m, 2)
+		shared := map[int]int64{}
+		cfg.PerInstance = func(k int, c *Config) {
+			crash := shared
+			if !reuse {
+				crash = map[int]int64{}
+			}
+			crash[0] = int64(5 + 40*k)
+			c.Schedule.CrashAt = crash
+		}
+		res, err := SolveBatch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fresh, reused := run(false), run(true)
+	if !reflect.DeepEqual(fresh.Steps, reused.Steps) || !reflect.DeepEqual(fresh.Decisions, reused.Decisions) {
+		t.Fatalf("a reused crash map changed the batch:\nreused map: steps %v decisions %v\nfresh maps: steps %v decisions %v",
+			reused.Steps, reused.Decisions, fresh.Steps, fresh.Decisions)
+	}
+	for k, err := range fresh.Errors {
+		if !errors.Is(err, ErrStalled) || !errors.Is(reused.Errors[k], ErrStalled) {
+			t.Fatalf("instance %d: errors %v and %v, want the crash to stall both", k, err, reused.Errors[k])
+		}
+	}
+}
+
+// anonBatch is perfbench's anon-n8 batch shape: m anonymous n-process
+// instances on the random schedule, each with its own uniform random inputs.
+func anonBatch(m, n, parallel int, seed int64) BatchConfig {
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([][]int, m)
+	for k := range inputs {
+		inputs[k] = make([]int, n)
+		for i := range inputs[k] {
+			inputs[k][i] = rng.Intn(2)
+		}
+	}
+	return BatchConfig{
+		Instances: m,
+		Base: Config{
+			Inputs:    inputs[0],
+			Algorithm: Anonymous,
+			Schedule:  Schedule{Kind: RandomSchedule},
+			MaxSteps:  core.StepBudget(core.KindAnonymous, n),
+		},
+		Seed:        seed,
+		Parallel:    parallel,
+		PerInstance: func(k int, c *Config) { c.Inputs = inputs[k] },
+	}
+}
+
+// TestSolveBatchAllocationPerInstance guards a simulated instance's
+// allocation in steady state: an anonymous n=8 batch at Parallel 1 may
+// allocate at most 20 KB per instance. Each process generator is 4.9 KB; the
+// processes take theirs from a pool, and the random adversary's is built when
+// its instance runs. Allocating the eight process generators per instance and
+// holding every adversary until the batch ends comes to about 56 KB.
+func TestSolveBatchAllocationPerInstance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool drops a quarter of what it is handed, so pooled generators are allocated again")
+	}
+	const m, maxPerInstance = 1000, 20_000
+	// The warm-up builds the worker's arena shape and fills the pool.
+	if _, err := SolveBatch(anonBatch(50, 8, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := anonBatch(m, 8, 1, 11)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := SolveBatch(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ErrCount != 0 {
+		t.Fatalf("%d instances failed", res.ErrCount)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / m
+	if per > maxPerInstance {
+		t.Fatalf("%d B allocated per instance, want at most %d", per, maxPerInstance)
+	}
+	t.Logf("%d B allocated per instance", per)
 }
 
 func TestBatchResultStepsPercentile(t *testing.T) {

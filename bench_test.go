@@ -15,6 +15,7 @@ package consensus
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"github.com/dsrepro/consensus/internal/core"
@@ -135,12 +136,31 @@ func BenchmarkSolveDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveBatch measures batch throughput at several worker counts:
-// 32 pooled instances per iteration, seed-sharded. Speedup over parallel=1
-// scales with hardware threads (the per-instance scheduler is itself
-// goroutine-heavy, so a 1-core machine shows ~1x across the board); the
-// per-op numbers report honestly whatever the machine provides.
+// BenchmarkSolveBatch measures batch throughput. The parallel=N cases run
+// 32 bounded n=4 instances per iteration, seed-sharded, at several worker
+// counts. Speedup over parallel=1 scales with hardware threads (the
+// per-instance scheduler is itself goroutine-heavy, so a 1-core machine shows
+// ~1x across the board); the per-op numbers report honestly whatever the
+// machine provides.
 func BenchmarkSolveBatch(b *testing.B) {
+	// anonymous/n=8 is perfbench's anon-n8 chunk: 400 anonymous n=8 instances
+	// with random inputs, one worker per CPU. Its instances take about 75
+	// steps each, so per-instance set-up and generator state dominate.
+	b.Run("anonymous/n=8", func(b *testing.B) {
+		cfg := anonBatch(400, 8, runtime.NumCPU(), 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = int64(i + 1)
+			res, err := SolveBatch(cfg)
+			if err != nil {
+				b.Fatalf("SolveBatch: %v", err)
+			}
+			if res.ErrCount != 0 {
+				b.Fatalf("batch errors: %v", res.Errors)
+			}
+		}
+	})
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()

@@ -149,7 +149,20 @@ type Schedule struct {
 	CrashAt map[int]int64
 }
 
-func (s Schedule) adversary(seed int64) (sched.Adversary, error) {
+// check refuses an unknown schedule kind. It runs when an instance is
+// resolved, so a bad kind fails before anything runs, even in a batch whose
+// workers build the adversaries later.
+func (s Schedule) check() error {
+	switch s.Kind {
+	case 0, RoundRobin, RandomSchedule, LaggerSchedule:
+		return nil
+	}
+	return fmt.Errorf("consensus: unknown schedule kind %d", int(s.Kind))
+}
+
+// adversary builds and seeds the adversary for an instance with seed seed.
+// The schedule must have passed check.
+func (s Schedule) adversary(seed int64) sched.Adversary {
 	var adv sched.Adversary
 	switch s.Kind {
 	case 0, RoundRobin:
@@ -163,12 +176,12 @@ func (s Schedule) adversary(seed int64) (sched.Adversary, error) {
 		}
 		adv = sched.NewLagger(s.Victim, period, seed^0x5ca1ab1e)
 	default:
-		return nil, fmt.Errorf("consensus: unknown schedule kind %d", int(s.Kind))
+		panic(s.check()) // unreachable: the caller checked the schedule
 	}
 	if len(s.CrashAt) > 0 {
 		adv = sched.NewCrash(adv, s.CrashAt)
 	}
-	return adv, nil
+	return adv
 }
 
 // SubstrateKind selects the execution backend processes run on.
@@ -236,10 +249,13 @@ func (c Config) algorithm() Algorithm {
 	return c.Algorithm
 }
 
-// instance resolves c into one core instance without instruments: it checks
-// the inputs, maps the algorithm, memory, schedule and substrate onto their
-// core values, and refuses what the native substrate cannot run. Solve and
-// SolveBatch add the instruments.
+// instance resolves c into one core instance without its adversary or
+// instruments: it checks the inputs and the schedule, maps the algorithm,
+// memory and substrate onto their core values, and refuses what the native
+// substrate cannot run. Solve and SolveBatch add the instruments, and the
+// adversary when the instance is simulated (Substrate nil): the native
+// substrate ignores it, and Solve builds it here while SolveBatch's workers
+// build it where the instance runs.
 func (c Config) instance() (core.Instance, error) {
 	if len(c.Inputs) == 0 {
 		return core.Instance{}, errors.New("consensus: Config.Inputs must not be empty")
@@ -252,8 +268,7 @@ func (c Config) instance() (core.Instance, error) {
 	if err != nil {
 		return core.Instance{}, err
 	}
-	adv, err := c.Schedule.adversary(c.Seed)
-	if err != nil {
+	if err := c.Schedule.check(); err != nil {
 		return core.Instance{}, err
 	}
 	sub, err := c.substrate()
@@ -278,7 +293,6 @@ func (c Config) instance() (core.Instance, error) {
 		},
 		Inputs:    c.Inputs,
 		Seed:      c.Seed,
-		Adversary: adv,
 		MaxSteps:  c.MaxSteps,
 		Substrate: sub,
 		Commuting: c.ParallelDispatch,
@@ -543,6 +557,9 @@ func Solve(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if inst.Substrate == nil {
+		inst.Adversary = cfg.Schedule.adversary(cfg.Seed)
+	}
 	// One sink serves every trace surface: the human-readable log filters the
 	// shared event stream to the core layer, the JSONL export takes all of
 	// it, and the metrics registry counts regardless. With no consumer the
@@ -702,10 +719,10 @@ func FlipCoin(cfg CoinConfig) (CoinResult, error) {
 	if err != nil {
 		return CoinResult{}, err
 	}
-	adv, err := cfg.Schedule.adversary(cfg.Seed)
-	if err != nil {
+	if err := cfg.Schedule.check(); err != nil {
 		return CoinResult{}, err
 	}
+	adv := cfg.Schedule.adversary(cfg.Seed)
 	outcomes := make([]walk.Outcome, cfg.N)
 	_, err = sched.Run(sched.Config{N: cfg.N, Seed: cfg.Seed, Adversary: adv}, func(p *sched.Proc) {
 		outcomes[p.ID()] = coin.Flip(p)

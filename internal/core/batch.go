@@ -85,15 +85,19 @@ type BatchOutcome struct {
 // concurrently, so its recorder, if any, must synchronize itself (obs.Ring
 // does).
 func RunBatch(parallel int, sink *obs.Sink, instances []Instance) []BatchOutcome {
-	return RunBatchProgress(parallel, sink, nil, instances)
+	return RunBatchProgress(parallel, sink, nil, len(instances), func(k int) Instance { return instances[k] })
 }
 
-// RunBatchProgress is RunBatch with a progress probe: prog (nil allowed) is
-// re-armed for the batch and counts every finished execution, so a reporter
-// can show completion while the batch runs. The probe is reporting-only and
-// does not affect scheduling or results.
-func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, instances []Instance) []BatchOutcome {
-	m := len(instances)
+// RunBatchProgress is RunBatch over m instances that the workers build
+// themselves: the worker that runs instance k calls instance(k) just before
+// k's latency clock starts, so what it builds (an adversary's generator, say)
+// lives only while k runs and its set-up stays out of k's latency. instance
+// is called once per k, concurrently from up to parallel workers, so it must
+// depend on k alone. prog (nil allowed) is re-armed for the batch and counts
+// every finished execution, so a reporter can show completion while the
+// batch runs. The probe is reporting-only and does not affect scheduling or
+// results.
+func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, m int, instance func(k int) Instance) []BatchOutcome {
 	out := make([]BatchOutcome, m)
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -105,7 +109,7 @@ func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, ins
 
 	run1 := func(arena *Arena, k int) {
 		defer prog.InstanceDone()
-		inst := instances[k]
+		inst := instance(k)
 		start := time.Now() // monotonic; elapsed survives wall-clock jumps
 		defer func() {
 			elapsed := time.Since(start).Nanoseconds()
@@ -146,7 +150,7 @@ func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, ins
 
 	if parallel <= 1 {
 		arena := NewArena()
-		for k := range instances {
+		for k := range m {
 			run1(arena, k)
 		}
 		return out

@@ -68,9 +68,9 @@ func (s *Sink) Tracing() bool { return s != nil && s.rec != nil }
 // records to s's recorder and updates s's gauges and histograms, but its
 // Emit, Count and CountN add into a plain block of kind counts, with no
 // atomic, until Flush publishes the block into s's registry. Every call on a
-// view must be ordered by happens-before edges, as the step engines' coroutine
-// switches and channel handoffs order a run's steps, so a view never serves
-// racing processes. prev, if it is an earlier view (of any sink) that has been
+// view must be ordered by happens-before edges, as the step engine's
+// coroutine switches order a run's steps, so a view never serves racing
+// processes. prev, if it is an earlier view (of any sink) that has been
 // flushed and is no longer in use, is reused, block and all; otherwise Local
 // allocates one. A nil s has no view.
 func (s *Sink) Local(prev *Sink) *Sink {

@@ -9,8 +9,8 @@
 // implementations call Proc.Step before touching shared state, so under the
 // step scheduler (package sched) register operations serialize exactly at the
 // scheduler's grant points. The simulated storage is a plain field: the step
-// scheduler orders every access through coroutine switches or channel
-// handoffs, so an operation reads or writes it directly. A mutex beside it
+// scheduler orders every access through its coroutine switches, so an
+// operation reads or writes it directly. A mutex beside it
 // guards only racing processes' use of it (sched.Proc.Races: goroutines of
 // the native substrate driving simulated storage), plus Peek and Reset, which
 // have no process to ask.

@@ -169,6 +169,7 @@ func (s *nativeSubstrate) Run(cfg Config, body func(*Proc)) (Result, error) {
 	}
 	for i, p := range procs {
 		res.PerProc[i] = p.steps
+		p.release() // every body has stopped
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.CountN(obs.SchedGrant, res.Steps)

@@ -55,6 +55,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime/debug"
+	"sync"
 
 	"github.com/dsrepro/consensus/internal/obs"
 )
@@ -81,7 +82,8 @@ type haltSignal struct{}
 // the gate through which every atomic step must pass. A Proc belongs to its
 // process: it is used by that process's body and, during an inline
 // step-sequence op (see StepSeq), by the token holder's coroutine, never
-// concurrently.
+// concurrently. Its random source is valid only until Run returns: Run hands
+// it back to a pool for the next run's processes.
 type Proc struct {
 	id    int
 	rng   *rand.Rand
@@ -118,6 +120,8 @@ func (p *Proc) ID() int { return p.id }
 
 // Rand returns the process-private deterministic random source. Algorithms
 // must draw all randomness from here so runs are reproducible from the seed.
+// The source belongs to the run: it is valid only until Run returns, and
+// must not be kept beyond it.
 func (p *Proc) Rand() *rand.Rand { return p.rng }
 
 // Steps reports how many atomic steps this process has performed so far.
@@ -215,16 +219,38 @@ func (p *Proc) DeclareRead(key int64) { p.fpKey, p.fpWrite = key, false }
 // identified by key. See DeclareRead.
 func (p *Proc) DeclareWrite(key int64) { p.fpKey, p.fpWrite = key, true }
 
+// rngPool holds process generators between runs. A generator is 4.9 KB of
+// state, most of an instance's allocation when steps are few, so each run
+// takes its processes' generators from here and hands them back once every
+// body has stopped. (*rand.Rand).Seed rewrites the whole source and clears
+// the Rand's buffered bytes, so a reused generator's stream is a fresh one's.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(source)) }}
+
 // newProc builds the per-process handle; the RNG derivation is shared by both
 // substrates so a seed reproduces identical private coins everywhere.
 func newProc(id int, seed int64, g gate) *Proc {
 	_, races := g.(*nativeGate)
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(procSeed(seed, id))
 	return &Proc{
 		id:    id,
-		rng:   rand.New(newSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
+		rng:   rng,
 		gate:  g,
 		races: races,
 	}
+}
+
+// procSeed derives process id's generator seed from the run's seed.
+func procSeed(seed int64, id int) int64 {
+	return seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D
+}
+
+// release hands p's generator back to the pool. The caller guarantees that
+// p's body has stopped and that nothing draws from p.Rand() again; a later
+// draw finds no generator and panics.
+func (p *Proc) release() {
+	rngPool.Put(p.rng)
+	p.rng = nil
 }
 
 // Adversary chooses which waiting process performs the next atomic step.
@@ -595,7 +621,16 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 	// stops tear the run down on every exit path, including a body panic that
 	// resume re-raises here: stopping a parked coroutine makes its pending
 	// yield return false, so it unwinds via haltSignal; stopping a finished
-	// one is a no-op.
+	// one is a no-op. The generators go back to the pool only after every
+	// stop, so no unwinding body can still draw from one: this defer is
+	// registered first, so it runs last.
+	defer func() {
+		for i := range d.slots {
+			if p := d.slots[i].proc; p != nil {
+				p.release()
+			}
+		}
+	}()
 	resume := make([]func() (struct{}, bool), cfg.N)
 	for i := range resume {
 		p := newProc(i, cfg.Seed, g)
