@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test test-race test-short bench bench-json bench-check perfbench-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
+.PHONY: all ci build test test-race test-short bench perfbench-smoke prof-smoke space-smoke native-smoke dispatch-smoke tail-smoke native-stress experiments experiments-quick fuzz vet fmt fmt-check clean
 
 all: vet test build
 
@@ -27,10 +27,13 @@ all: vet test build
 #     real goroutines with the monitor as oracle), commuting dispatch (both
 #     dispatch modes with the monitor escalated, seed determinism, the
 #     native+commuting rejection, a capped n=32 workload) and tail latency (a
-#     metered batch with straggler digest and deterministic replay, bundle
-#     completeness, the traceview -tail views);
-#   - a benchdiff self-compare, to keep the regression gate runnable;
+#     metered batch with straggler digest, deterministic replay and blame
+#     cells, bundle completeness, the traceview -tail views);
 #   - `go test ./...`, then a -short -race pass over the whole module. The
+#     first runs TestWorkloadGoldens (cmd/consensus-load), the gate on the
+#     step distributions, phase means and space blocks of the batch
+#     workloads at seed 42; the race pass runs its rows up to n=8.
+#     Throughput and latency are gated by BENCHMARK.json's workloads. The
 #     race pass covers the batch worker pool, the process-generator pool
 #     (two goroutines running the scheduler at once), the dispatcher's
 #     grant-model and step-sequence suites, the execution goldens, the
@@ -49,7 +52,6 @@ ci: fmt-check vet build
 	./scripts/native_smoke.sh
 	./scripts/dispatch_smoke.sh
 	./scripts/tail_smoke.sh
-	$(GO) run ./cmd/benchdiff BENCH_batch.json BENCH_batch.json
 	$(MAKE) test
 	$(GO) test -short -race -timeout 900s ./...
 
@@ -67,31 +69,6 @@ test-short:
 
 bench:
 	$(GO) test -bench=. -benchmem -timeout 3600s ./...
-
-# bench-json emits the machine-readable batch benchmark artifact (schema in
-# DESIGN.md): the standard workload matrix ({bounded, aspnes-herlihy} x
-# {n=4, n=8, n=16, n=32} x {simulated, native} plus the commuting-dispatch
-# rows, the K/M space-time frontier rows and the anonymous variant), each
-# entry carrying throughput, the step distribution, the merged metrics
-# snapshot, derived ratios, the phase histograms, the space-accounting
-# block (peak/live registers, words, per-layer bits) that benchdiff's space
-# gates compare, and the wall-clock latency block (quantiles + straggler
-# digests + environment stamp) behind benchdiff's p99 tail gate and the
-# traceview -tail view. The substrate, dispatch mode and K/M knobs are part of each
-# workload's key, so benchdiff never pair-compares a native row against a
-# simulated one, a commuting row against a sequential one, or across knobs.
-bench-json:
-	$(GO) run ./cmd/consensus-load -matrix -seed 42 -json > BENCH_batch.json
-	@echo "wrote BENCH_batch.json"
-
-# bench-check regenerates the benchmark under the committed artifact's exact
-# workload matrix and diffs it against BENCH_batch.json with the default
-# thresholds; exits nonzero on a throughput, step-distribution, or phase-mean
-# regression in any workload.
-bench-check:
-	$(GO) run ./cmd/consensus-load -matrix -seed 42 -json > BENCH_batch.new.json
-	$(GO) run ./cmd/benchdiff BENCH_batch.json BENCH_batch.new.json
-	@rm -f BENCH_batch.new.json
 
 # perfbench-smoke runs the repository benchmark for one second on each gated
 # workload, untraced (--trace 0) and traced (--trace 1), and fails unless every

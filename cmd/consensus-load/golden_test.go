@@ -22,10 +22,10 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/workloads.golde
 
 const workloadGoldens = "testdata/workloads.golden"
 
-// workloadRows are the golden's workloads, with the instance counts of the
-// benchmark matrix they replace. The native rows are not deterministic, and
-// the commuting n=32 rows took four fifths of the matrix's time under a
-// policy that is to be retired, so neither is here.
+// workloadRows are the golden's workloads: the bounded and Aspnes–Herlihy
+// protocols at n = 4 to 32, commuting dispatch at n ≤ 16, the K and M
+// frontier, and the anonymous variant. Native runs are not deterministic, so
+// none is here, and a commuting batch at n=32 takes over 10 s.
 var workloadRows = []workloadSpec{
 	{Alg: "bounded", N: 4, Instances: 400},
 	{Alg: "bounded", N: 8, Instances: 60},
@@ -150,7 +150,7 @@ func TestWorkloadGoldens(t *testing.T) {
 		key := benchfmt.Report{Algorithm: ws.Alg, N: ws.N, K: ws.K, M: ws.M, Dispatch: ws.Dispatch}.Key()
 		t.Run(key, func(t *testing.T) {
 			if testing.Short() && ws.N > 8 {
-				t.Skipf("-short: %s runs millions of steps per instance", key)
+				t.Skipf("-short skips the rows above n=8: %s", key)
 			}
 			ran++
 			r, res, _, code := runWorkload(ws, goldenOpts, nil)

@@ -1,18 +1,19 @@
 // Command consensus-load drives the batch engine at full throughput and
 // reports instances/sec plus the step-count distribution — the repo's load
-// generator and the producer of the machine-readable bench artifact
-// (`make bench-json` > BENCH_batch.json).
+// generator. With -json it writes one machine-readable report
+// (internal/benchfmt), which traceview -tail renders.
 //
 // Usage examples:
 //
 //	consensus-load -instances 200
 //	consensus-load -alg strong-coin -n 8 -instances 50 -parallel 4
-//	consensus-load -matrix -json > BENCH_batch.json
+//	consensus-load -instances 400 -seed 42 -json > report.json
 //	consensus-load -instances 5000 -progress 1s   # progress + ETA on stderr
-//	consensus-load -instances 500 -stragglers 3 -straggler-replay   # forensic bundles
+//	consensus-load -instances 500 -stragglers 3 -straggler-replay   # forensic bundles + blame
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +48,6 @@ func run() int {
 		kFlag     = flag.Int("k", 0, "rounds-strip constant (0 = algorithm default)")
 		mFlag     = flag.Int("m", 0, "coin-counter bound (0 = algorithm default)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
-		matrix    = flag.Bool("matrix", false, matrixHelp())
 		tail      = flag.Int("tail", 0, "keep the last N events in a ring for post-run inspection (0 = off; ordering across workers is unspecified)")
 		profOn    = flag.Bool("prof", false, "run the step profiler on every instance: prof.* counters plus blame/contention matrices in the report")
 		auditOn   = flag.Bool("audit", false, "run the online invariant monitor on every instance; non-zero exit if any probe fires")
@@ -64,14 +64,6 @@ func run() int {
 
 	schedule, err := parseSchedule(*schedFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
-		return 2
-	}
-	if _, err := parseSubstrate(*subFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
-		return 2
-	}
-	if _, err := parseDispatch(*dispFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
 		return 2
 	}
@@ -120,43 +112,12 @@ func run() int {
 		opts.auditDir = *auditDir
 	}
 
-	if *matrix {
-		m := benchfmt.Matrix{}
-		bad := 0
-		for _, ws := range matrixWorkloads {
-			r, res, base, code := runWorkload(ws, opts, nil)
-			if code == 2 {
-				return 2
-			}
-			bad += reportErrors(res)
-			bad += int(reportViolations(res))
-			if *stragReplay {
-				bad += replayStragglers(base, r, *stragDir)
-			}
-			m.Workloads = append(m.Workloads, r)
-			if !*jsonOut {
-				printReport(r, nil)
-				fmt.Println()
-			}
-		}
-		if *jsonOut {
-			if err := benchfmt.WriteMatrix(os.Stdout, m); err != nil {
-				fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
-				return 1
-			}
-		}
-		if bad > 0 {
-			return 1
-		}
-		return 0
-	}
-
 	if *n < 1 {
 		fmt.Fprintf(os.Stderr, "consensus-load: -n must be >= 1\n")
 		return 2
 	}
 	// The optional ring is a debugging tail: concurrency-safe, but with no
-	// cross-worker ordering guarantee. Single-workload mode only.
+	// cross-worker ordering guarantee.
 	var ring *obs.Ring
 	if *tail > 0 {
 		ring = obs.NewRing(*tail)
@@ -187,9 +148,10 @@ func run() int {
 
 // replayStragglers re-executes each straggler of a workload's digest into a
 // forensic bundle under dir (one subdirectory per straggler, keyed by the
-// workload and instance index). Native workloads are skipped with a notice —
-// hardware interleavings are not replayable — and replay failures count
-// toward the exit status without aborting the remaining stragglers.
+// workload and instance index) and prints one line per straggler with its
+// blame cell. Native workloads are skipped with a notice — hardware
+// interleavings are not replayable — and replay failures count toward the
+// exit status without aborting the remaining stragglers.
 func replayStragglers(base consensus.Config, r benchfmt.Report, dir string) int {
 	if len(r.Stragglers) == 0 {
 		return 0
@@ -202,15 +164,42 @@ func replayStragglers(base consensus.Config, r benchfmt.Report, dir string) int 
 	for _, s := range r.Stragglers {
 		name := fmt.Sprintf("%s-n%d-i%d", r.Algorithm, r.N, s.Index)
 		b, err := consensus.ReplayStraggler(base, s, filepath.Join(dir, name))
+		var blame string
+		if err == nil {
+			blame, err = blameCell(b)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "consensus-load: straggler %s: %v\n", name, err)
 			bad++
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "consensus-load: straggler %s: %d steps, decision %d, bundle %s\n",
-			name, b.ReplaySteps, b.ReplayDecision, b.Dir)
+		fmt.Fprintf(os.Stderr, "consensus-load: straggler %s: %d steps, decision %d, %s, bundle %s\n",
+			name, b.ReplaySteps, b.ReplayDecision, blame, b.Dir)
 	}
 	return bad
+}
+
+// blameCell reads a replay bundle's summary and renders the shares of the
+// replayed steps that were productive, scan-retry and coin-spin.
+func blameCell(b consensus.StragglerBundle) (string, error) {
+	data, err := os.ReadFile(b.SummaryPath)
+	if err != nil {
+		return "", err
+	}
+	sum, err := consensus.ParseStragglerSummary(data)
+	if err != nil {
+		return "", err
+	}
+	if b.ReplaySteps <= 0 {
+		return "no steps", nil
+	}
+	share := func(key string) float64 {
+		n, _ := sum[key].(json.Number) // every number of a parsed summary is one
+		v, _ := n.Float64()
+		return 100 * v / float64(b.ReplaySteps)
+	}
+	return fmt.Sprintf("prod %.0f%% retry %.0f%% coin %.0f%%",
+		share("steps_productive"), share("steps_scan_retry"), share("steps_coin_spin")), nil
 }
 
 // etaLabel renders an ETA estimate: "?" before any completion establishes a
@@ -222,10 +211,9 @@ func etaLabel(sec float64) string {
 	return (time.Duration(sec * float64(time.Second))).Round(100 * time.Millisecond).String()
 }
 
-// workloadSpec names one batch workload of the matrix: an algorithm, a
-// process count, a substrate ("" = simulated), a dispatch mode ("" =
-// sequential), how many instances to run, and optional K/M overrides for the
-// space–time frontier rows (0 = defaults).
+// workloadSpec names one batch workload: an algorithm, a process count, a
+// substrate ("" = simulated), a dispatch mode ("" = sequential), how many
+// instances to run, and optional K/M overrides (0 = defaults).
 type workloadSpec struct {
 	Alg       string
 	N         int
@@ -236,94 +224,8 @@ type workloadSpec struct {
 	M         int
 }
 
-// matrixWorkloads is the standard bench matrix (`make bench-json`). The
-// bounded n=4 entry is the historical single-workload artifact and must keep
-// its instance count so new matrix artifacts stay comparable against
-// pre-matrix baselines; the other entries are sized so the whole matrix runs
-// in the same ballpark as the original single workload.
-// The n=16 entries measure the scaling wall past the n=4→n=8 throughput
-// collapse; they are small (a few seconds each, ~8 inst/s serial) and sized so
-// the profiler has enough contended instances to attribute.
-// The native rows mirror the simulated grid on the native substrate (real
-// goroutines, lock-free registers): same (algorithm, n) pairs, so the
-// artifact reads as a substrate column. Native instances are cheap — no step
-// arbiter — so the counts match the simulated rows. Native rows never
-// pair-compare against simulated ones (the substrate is part of the workload
-// key).
-// The frontier rows sweep the space knobs on the simulated substrate —
-// strip constant K, coin bound M, and the anonymous variant — so the
-// artifact carries the measured space–time frontier: every report's space
-// block (peak registers, bits per register) pairs with its steps summary.
-// Explicit K/M are part of the workload key.
-// The n=32 rows measure past the scaling wall on both substrates; the
-// sequential simulated pair is deliberately tiny (each instance runs
-// millions of steps), which is itself the datum motivating the rows below
-// them. The commuting rows rerun the contended sizes under commuting-step
-// dispatch (batched disjoint-footprint grants + epoch scan repair) — the
-// dispatch mode is part of the workload key, so they never pair-compare
-// against sequential rows.
-var matrixWorkloads = []workloadSpec{
-	{Alg: "bounded", N: 4, Instances: 400},
-	{Alg: "bounded", N: 8, Instances: 60},
-	{Alg: "bounded", N: 16, Instances: 12},
-	{Alg: "bounded", N: 32, Instances: 4},
-	{Alg: "aspnes-herlihy", N: 4, Instances: 200},
-	{Alg: "aspnes-herlihy", N: 8, Instances: 40},
-	{Alg: "aspnes-herlihy", N: 16, Instances: 8},
-	{Alg: "aspnes-herlihy", N: 32, Instances: 4},
-	{Alg: "bounded", N: 4, Instances: 400, Substrate: "native"},
-	{Alg: "bounded", N: 8, Instances: 60, Substrate: "native"},
-	{Alg: "bounded", N: 16, Instances: 12, Substrate: "native"},
-	{Alg: "bounded", N: 32, Instances: 12, Substrate: "native"},
-	{Alg: "aspnes-herlihy", N: 4, Instances: 200, Substrate: "native"},
-	{Alg: "aspnes-herlihy", N: 8, Instances: 40, Substrate: "native"},
-	{Alg: "aspnes-herlihy", N: 16, Instances: 8, Substrate: "native"},
-	{Alg: "aspnes-herlihy", N: 32, Instances: 12, Substrate: "native"},
-	{Alg: "bounded", N: 8, Instances: 200, Dispatch: "commuting"},
-	{Alg: "bounded", N: 16, Instances: 40, Dispatch: "commuting"},
-	{Alg: "bounded", N: 32, Instances: 12, Dispatch: "commuting"},
-	{Alg: "aspnes-herlihy", N: 8, Instances: 200, Dispatch: "commuting"},
-	{Alg: "aspnes-herlihy", N: 32, Instances: 12, Dispatch: "commuting"},
-	{Alg: "bounded", N: 4, Instances: 200, K: 3},
-	{Alg: "bounded", N: 4, Instances: 200, K: 4},
-	{Alg: "bounded", N: 4, Instances: 200, M: 64},
-	{Alg: "bounded", N: 8, Instances: 40, M: 64},
-	{Alg: "anonymous", N: 4, Instances: 400},
-	{Alg: "anonymous", N: 8, Instances: 100},
-}
-
-// matrixHelp is -matrix's help text: the rows of matrixWorkloads, grouped by
-// algorithm, substrate, dispatch mode and K/M override, with their process
-// counts in row order.
-func matrixHelp() string {
-	var groups []string
-	ns := map[string][]string{}
-	for _, w := range matrixWorkloads {
-		g := w.Alg
-		for _, opt := range []string{w.Substrate, w.Dispatch} {
-			if opt != "" {
-				g += " " + opt
-			}
-		}
-		if w.K != 0 {
-			g += fmt.Sprintf(" K=%d", w.K)
-		}
-		if w.M != 0 {
-			g += fmt.Sprintf(" M=%d", w.M)
-		}
-		if ns[g] == nil {
-			groups = append(groups, g)
-		}
-		ns[g] = append(ns[g], fmt.Sprint(w.N))
-	}
-	for i, g := range groups {
-		groups[i] = g + " n=" + strings.Join(ns[g], ",")
-	}
-	return fmt.Sprintf("run the standard %d-row workload matrix (%s) instead of one workload; -instances/-n/-alg/-tail are ignored",
-		len(matrixWorkloads), strings.Join(groups, "; "))
-}
-
-// workloadOpts carries the flag settings shared by every workload of a run.
+// workloadOpts carries the run settings that are not part of a workload's
+// spec.
 type workloadOpts struct {
 	schedule    consensus.Schedule
 	seed        int64
@@ -388,8 +290,8 @@ func runWorkload(ws workloadSpec, opts workloadOpts, ring *obs.Ring) (benchfmt.R
 	}
 	profile := opts.profile
 	if sub == consensus.NativeSubstrate && profile {
-		// The step profiler requires serialized steps; native workloads of a
-		// mixed matrix run unprofiled rather than failing the whole run.
+		// The step profiler requires serialized steps; a native workload runs
+		// unprofiled rather than failing.
 		fmt.Fprintf(os.Stderr, "consensus-load: %s/n=%d: profiler disabled on the native substrate\n", ws.Alg, ws.N)
 		profile = false
 	}
@@ -491,7 +393,7 @@ func runWorkload(ws workloadSpec, opts workloadOpts, ring *obs.Ring) (benchfmt.R
 
 // derivedStats computes the informational ratios carried in Report.Derived.
 // scan.retry_ratio is retries per clean double-collect — the scan-layer
-// contention indicator the harness tables and bench artifacts both surface.
+// contention indicator the harness tables and the reports both surface.
 func derivedStats(counters map[string]int64) map[string]float64 {
 	clean, retry := counters["scan.clean"], counters["scan.retry"]
 	if clean <= 0 {

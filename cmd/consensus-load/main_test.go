@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	consensus "github.com/dsrepro/consensus"
@@ -87,7 +86,7 @@ func TestEtaLabel(t *testing.T) {
 	}
 }
 
-// TestParseAlg: every spelling the -alg help and the matrix rows use, plus
+// TestParseAlg: every spelling the -alg help and the golden rows use, plus
 // the short aliases, selects its algorithm; anything else is a usage error.
 func TestParseAlg(t *testing.T) {
 	for _, c := range []struct {
@@ -120,7 +119,7 @@ func TestParseAlg(t *testing.T) {
 	})
 }
 
-// TestParseSubstrate: the empty spelling is the matrix rows' default and
+// TestParseSubstrate: the empty spelling is a workloadSpec's default and
 // must mean the simulated substrate.
 func TestParseSubstrate(t *testing.T) {
 	for _, c := range []struct {
@@ -146,7 +145,7 @@ func TestParseSubstrate(t *testing.T) {
 	})
 }
 
-// TestParseDispatch: the empty spelling is the matrix rows' default and must
+// TestParseDispatch: the empty spelling is a workloadSpec's default and must
 // mean sequential dispatch; only "commuting" turns batching on.
 func TestParseDispatch(t *testing.T) {
 	for _, c := range []struct {
@@ -275,21 +274,5 @@ func TestRunWorkload(t *testing.T) {
 				t.Errorf("runWorkload(%+v) code = %d, want 2", c.ws, code)
 			}
 		})
-	}
-}
-
-// TestMatrixHelp: -matrix's help names every row group of matrixWorkloads
-// with its process counts, and the row count.
-func TestMatrixHelp(t *testing.T) {
-	help := matrixHelp()
-	for _, want := range []string{
-		"27-row",
-		"(bounded n=4,8,16,32; aspnes-herlihy n=4,8,16,32; bounded native n=4,8,16,32;",
-		"; bounded commuting n=8,16,32; aspnes-herlihy commuting n=8,32;",
-		"; bounded K=3 n=4; bounded K=4 n=4; bounded M=64 n=4,8; anonymous n=4,8)",
-	} {
-		if !strings.Contains(help, want) {
-			t.Errorf("-matrix help %q lacks %q", help, want)
-		}
 	}
 }

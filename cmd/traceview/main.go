@@ -29,13 +29,12 @@
 //	consensus-sim -inputs 0,1,1,0 -space-json run.space.json
 //	traceview -space run.space.json      # per-layer accounting + totals
 //
-// Bench artifacts carrying latency blocks (consensus-load -json, see
-// internal/benchfmt) have a tail-latency view — wall-clock quantiles per
-// workload, straggler digests, environment stamps — which also reads a
-// straggler bundle's summary.json:
+// A consensus-load -json report (see internal/benchfmt) has a tail-latency
+// view — the workload's wall-clock quantiles, straggler digest and
+// environment stamp — which also reads a straggler bundle's summary.json:
 //
-//	consensus-load -matrix -json > BENCH_batch.json
-//	traceview -tail BENCH_batch.json
+//	consensus-load -instances 400 -stragglers 3 -json > report.json
+//	traceview -tail report.json
 //	traceview -tail stragglers/bounded-n4-i40/summary.json
 package main
 
@@ -62,10 +61,10 @@ func run() int {
 	profFlag := flag.String("prof", "", "render a profile JSON (consensus-sim -prof-json): step classes, blame matrix, contention, critical path")
 	perfettoFlag := flag.String("perfetto", "", "validate and summarise a Perfetto export (consensus-sim -prof-out)")
 	spaceFlag := flag.String("space", "", "render a space usage snapshot (consensus-sim -space-json): per-layer register/word/width accounting")
-	tailFlag := flag.String("tail", "", "render the tail-latency view of a bench artifact (consensus-load -json): latency quantiles, straggler digests, environment stamps; also accepts a straggler bundle's summary.json")
+	tailFlag := flag.String("tail", "", "render the tail-latency view of one consensus-load -json report: latency quantiles, straggler digest, environment stamp; also accepts a straggler bundle's summary.json")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: traceview [-format text|markdown|csv] [-phase name] [-audit] trace.jsonl\n")
-		fmt.Fprintf(os.Stderr, "       traceview [-format ...] -prof profile.json | -perfetto trace.json | -space usage.json | -tail bench.json\n")
+		fmt.Fprintf(os.Stderr, "       traceview [-format ...] -prof profile.json | -perfetto trace.json | -space usage.json | -tail report.json\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -28,7 +28,7 @@ func runSpace(path string, format harness.Format) int {
 
 // spaceTables builds the analysis tables of one space usage snapshot: the
 // per-layer accounting (registers, words, declared vs measured widths) and
-// the totals the bench gate compares.
+// the totals.
 func spaceTables(name string, u space.Usage) []*harness.Table {
 	lt := &harness.Table{
 		Title:   fmt.Sprintf("%s: space per layer", name),
@@ -55,7 +55,6 @@ func spaceTables(name string, u space.Usage) []*harness.Table {
 	tt.Add("registers (live)", u.LiveRegs)
 	tt.Add("state words (peak)", u.PeakWords)
 	tt.Add("bits/register (max)", bitsCell(u.MaxBits))
-	tt.Note("the benchdiff space gate compares these totals between artifacts.")
 
 	return []*harness.Table{lt, tt}
 }

@@ -10,87 +10,88 @@ import (
 	"github.com/dsrepro/consensus/internal/harness"
 )
 
-// runTail renders the tail-latency view of a bench artifact (consensus-load
-// -json with -latency): per-workload wall-clock quantiles, the straggler
-// digests, and the environment stamps the numbers were measured under. It
-// also accepts a straggler bundle's summary.json (consensus-straggler /
-// consensus-load -straggler-replay) and renders the replay verdict and blame
-// digest instead.
+// runTail renders the tail-latency view of one consensus-load -json report:
+// the workload's wall-clock quantiles, its straggler digest, and the
+// environment stamp the numbers were measured under. It also accepts a
+// straggler bundle's summary.json (consensus-load -straggler-replay) and
+// renders the replay verdict and blame digest instead.
 func runTail(path string, format harness.Format) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
 		return 1
 	}
-
-	// A bundle summary carries a "straggler" object; bench artifacts carry
-	// "workloads" (matrix) or a top-level "algorithm" (legacy single report).
-	var probe struct {
-		Straggler json.RawMessage `json:"straggler"`
+	sum, r, err := parseTail(data)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "traceview: %s: %v\n", path, err)
+		return 1
 	}
-	if err := json.Unmarshal(data, &probe); err == nil && probe.Straggler != nil {
-		sum, err := consensus.ParseStragglerSummary(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-			return 1
-		}
+	if sum != nil {
 		summaryTable(path, sum).RenderAs(os.Stdout, format)
 		return 0
 	}
-
-	m, err := benchfmt.ReadAny(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		return 1
-	}
-	for _, t := range tailTables(path, m) {
+	for _, t := range tailTables(path, r) {
 		t.RenderAs(os.Stdout, format)
 	}
 	return 0
 }
 
-// tailTables builds the tail view of a bench artifact: the latency-quantile
-// table (one row per metered workload) and the straggler digest table.
-func tailTables(name string, m benchfmt.Matrix) []*harness.Table {
+// tailShapes names the two inputs -tail accepts.
+const tailShapes = "a consensus-load -json report or a straggler bundle's summary.json"
+
+// parseTail decodes a -tail input: a bundle summary, which carries a
+// "straggler" object, or a report, which carries its workload's "algorithm".
+// Any other JSON is refused.
+func parseTail(data []byte) (map[string]any, benchfmt.Report, error) {
+	var probe struct {
+		Straggler json.RawMessage `json:"straggler"`
+		Algorithm string          `json:"algorithm"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, benchfmt.Report{}, fmt.Errorf("want %s: %w", tailShapes, err)
+	}
+	var r benchfmt.Report
+	switch {
+	case probe.Straggler != nil:
+		sum, err := consensus.ParseStragglerSummary(data)
+		return sum, r, err
+	case probe.Algorithm != "":
+		err := json.Unmarshal(data, &r)
+		return nil, r, err
+	}
+	return nil, r, fmt.Errorf("want %s; this JSON has neither a \"straggler\" object nor an \"algorithm\"", tailShapes)
+}
+
+// tailTables builds the tail view of a report: the latency-quantile table and
+// the straggler digest table.
+func tailTables(name string, r benchfmt.Report) []*harness.Table {
 	lt := &harness.Table{
 		Title:   fmt.Sprintf("%s: wall-clock latency per workload", name),
 		Columns: []string{"workload", "count", "mean", "p50", "p90", "p99", "p999", "max"},
 	}
-	unmetered := 0
-	for _, r := range m.Workloads {
-		if r.Latency == nil || r.Latency.Count == 0 {
-			unmetered++
-			continue
-		}
-		l := r.Latency
+	lt.Note("wall-clock values jitter run to run.")
+	if l := r.Latency; l != nil && l.Count > 0 {
 		lt.Add(r.Key(), l.Count, msCell(int64(l.MeanNS)), msCell(l.P50NS), msCell(l.P90NS),
 			msCell(l.P99NS), msCell(l.P999NS), msCell(l.MaxNS))
+	} else {
+		lt.Note("the report carries no latency block (run without -latency).")
 	}
-	lt.Note("wall-clock values jitter run to run; benchdiff gates only the p99 ratio (see -max-latency-p99-growth).")
-	if unmetered > 0 {
-		lt.Note(fmt.Sprintf("%d workload(s) carry no latency block (run without -latency, or an older artifact).", unmetered))
-	}
-	for _, env := range envStamps(m) {
-		lt.Note("measured on " + env)
+	if e := r.Env; e != nil {
+		lt.Note(fmt.Sprintf("measured on %s %s/%s, GOMAXPROCS %d, %d CPUs", e.GoVersion, e.OS, e.Arch, e.GOMAXPROCS, e.NumCPU))
 	}
 	out := []*harness.Table{lt}
-
+	if len(r.Stragglers) == 0 {
+		return out
+	}
 	st := &harness.Table{
 		Title:   fmt.Sprintf("%s: straggler digests", name),
 		Columns: []string{"workload", "inst", "latency", "steps", "decision", "seed"},
 	}
-	rows := 0
-	for _, r := range m.Workloads {
-		for _, s := range r.Stragglers {
-			st.Add(r.Key(), s.Index, msCell(s.LatencyNS), s.Steps, s.Decision, s.Seed)
-			rows++
-		}
+	for _, s := range r.Stragglers {
+		st.Add(r.Key(), s.Index, msCell(s.LatencyNS), s.Steps, s.Decision, s.Seed)
 	}
-	if rows > 0 {
-		st.Note("each digest replays deterministically: consensus-straggler, or consensus-load -stragglers -straggler-replay.")
-		out = append(out, st)
-	}
-	return out
+	st.Note("each digest replays deterministically: consensus-load -stragglers N -straggler-replay.")
+	return append(out, st)
 }
 
 // summaryTable renders one straggler bundle's summary.json (already parsed
@@ -128,25 +129,6 @@ func summaryTable(name string, sum map[string]any) *harness.Table {
 	t.Add("audit violations", num("audit_violations"))
 	t.Note("replay latency is measured under full instrumentation and is expected to exceed the original; steps and decision are the deterministic fingerprint.")
 	return t
-}
-
-// envStamps lists the distinct environment stamps of an artifact, rendered
-// one per line.
-func envStamps(m benchfmt.Matrix) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range m.Workloads {
-		if r.Env == nil {
-			continue
-		}
-		s := fmt.Sprintf("%s %s/%s, GOMAXPROCS %d, %d CPUs",
-			r.Env.GoVersion, r.Env.OS, r.Env.Arch, r.Env.GOMAXPROCS, r.Env.NumCPU)
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // sumInt reads one numeric value of a parsed straggler summary. The parser

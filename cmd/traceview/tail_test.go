@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	consensus "github.com/dsrepro/consensus"
@@ -13,99 +14,108 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/tail"
 )
 
-var updateTail = flag.Bool("update-tail", false, "regenerate testdata/tail-bench.{json,golden} from the fixed artifact literal")
+var updateTail = flag.Bool("update-tail", false, "regenerate the testdata/tail-*.{json,golden} files from the fixed report literals")
 
-// tailGoldenMatrix is the fixed bench artifact behind the tail golden. Real
-// latency measurements jitter run to run, so the golden locks the *rendering*
-// of a synthetic artifact, not a live run: fixed quantiles, one straggler
-// digest per workload, one unmetered legacy row, and a fixed environment
-// stamp.
-func tailGoldenMatrix() benchfmt.Matrix {
-	mk := func(alg string, n int, count, scaleNS int64) benchfmt.Report {
-		return benchfmt.Report{
-			Algorithm: alg,
-			N:         n,
-			Instances: int(count),
-			Parallel:  4,
-			Seed:      42,
-			Latency: &tail.Summary{
-				Count:  int(count),
-				MeanNS: float64(2 * scaleNS),
-				MinNS:  scaleNS / 2,
-				P50NS:  scaleNS,
-				P90NS:  4 * scaleNS,
-				P99NS:  9 * scaleNS,
-				P999NS: 12 * scaleNS,
-				MaxNS:  13 * scaleNS,
-			},
-			Stragglers: []tail.Straggler{
-				{Index: 7, Seed: -1234567890123, LatencyNS: 13 * scaleNS, Steps: 31_000, Decision: 1},
-			},
-			Env: &benchfmt.EnvStamp{GoVersion: "go1.22.1", GOMAXPROCS: 8, NumCPU: 8, OS: "linux", Arch: "amd64"},
-		}
+// tailGoldenReport is a fixed report behind the tail goldens. Real latency
+// measurements jitter run to run, so the goldens lock the *rendering* of
+// synthetic reports, not a live run: fixed quantiles, one straggler digest
+// and a fixed environment stamp.
+func tailGoldenReport() benchfmt.Report {
+	return benchfmt.Report{
+		Algorithm: "bounded",
+		N:         4,
+		Instances: 400,
+		Parallel:  4,
+		Seed:      42,
+		Latency: &tail.Summary{
+			Count:  400,
+			MeanNS: 2_000_000,
+			MinNS:  500_000,
+			P50NS:  1_000_000,
+			P90NS:  4_000_000,
+			P99NS:  9_000_000,
+			P999NS: 12_000_000,
+			MaxNS:  13_000_000,
+		},
+		Stragglers: []tail.Straggler{
+			{Index: 7, Seed: -1234567890123, LatencyNS: 13_000_000, Steps: 31_000, Decision: 1},
+		},
+		Env: &benchfmt.EnvStamp{GoVersion: "go1.22.1", GOMAXPROCS: 8, NumCPU: 8, OS: "linux", Arch: "amd64"},
 	}
-	legacy := benchfmt.Report{Algorithm: "local-coin", N: 4, Instances: 50, Parallel: 4, Seed: 42}
-	return benchfmt.Matrix{Workloads: []benchfmt.Report{
-		mk("bounded", 4, 400, 1_000_000),
-		mk("aspnes-herlihy", 8, 60, 25_000_000),
-		legacy,
-	}}
 }
 
-// TestTailGolden locks the -tail rendering end to end: the fixed artifact
-// must render byte-identically to the checked-in golden. Regenerate with:
+// TestTailGolden locks the -tail rendering end to end: each fixed report is
+// written to its checked-in JSON file, read back through the -tail decoder
+// and rendered byte-identically to its golden. The metered report renders
+// its quantiles and digest; the unmetered one renders the no-latency note.
+// Regenerate with:
 //
 //	go test ./cmd/traceview -run TestTailGolden -update-tail
 func TestTailGolden(t *testing.T) {
-	m := tailGoldenMatrix()
-	var art bytes.Buffer
-	if err := benchfmt.WriteMatrix(&art, m); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, tbl := range tailTables("testdata/tail-bench.json", m) {
-		tbl.RenderAs(&buf, harness.FormatText)
-	}
-
-	if *updateTail {
-		if err := os.WriteFile("testdata/tail-bench.json", art.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("testdata/tail-bench.golden", buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("testdata/tail-bench.{json,golden} regenerated")
-		return
-	}
-
-	want, err := os.ReadFile("testdata/tail-bench.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(art.Bytes(), want) {
-		t.Errorf("fixed artifact diverged from testdata/tail-bench.json:\n--- got ---\n%s\n--- want ---\n%s", art.Bytes(), want)
-	}
-	golden, err := os.ReadFile("testdata/tail-bench.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Errorf("rendered tail view diverged from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), golden)
+	for _, c := range []struct {
+		name   string
+		report benchfmt.Report
+	}{
+		{"tail-bench", tailGoldenReport()},
+		{"tail-unmetered", benchfmt.Report{Algorithm: "local-coin", N: 4, Instances: 50, Parallel: 4, Seed: 42}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := "testdata/" + c.name + ".json"
+			var art bytes.Buffer
+			if err := benchfmt.Write(&art, c.report); err != nil {
+				t.Fatal(err)
+			}
+			if *updateTail {
+				if err := os.WriteFile(path, art.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(art.Bytes(), data) {
+				t.Errorf("fixed report diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", path, art.Bytes(), data)
+			}
+			sum, r, err := parseTail(data)
+			if err != nil || sum != nil {
+				t.Fatalf("parseTail(%s) = %v, %v; want a report", path, sum, err)
+			}
+			var buf bytes.Buffer
+			for _, tbl := range tailTables(path, r) {
+				tbl.RenderAs(&buf, harness.FormatText)
+			}
+			golden := "testdata/" + c.name + ".golden"
+			if *updateTail {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%s and %s regenerated", path, golden)
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("rendered tail view diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.Bytes(), want)
+			}
+		})
 	}
 }
 
 // TestTailGoldenParsesFromDisk exercises the -tail input path on the
-// checked-in artifact: ReadAny must decode it, and the latency blocks and
-// straggler digests must survive the round trip.
+// checked-in report: the latency block, the straggler digest and the
+// environment stamp must survive the round trip.
 func TestTailGoldenParsesFromDisk(t *testing.T) {
-	m, err := benchfmt.ReadAny("testdata/tail-bench.json")
+	data, err := os.ReadFile("testdata/tail-bench.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Workloads) != 3 {
-		t.Fatalf("got %d workloads, want 3", len(m.Workloads))
+	_, r, err := parseTail(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := m.Workloads[0]
 	if r.Latency == nil || r.Latency.P99NS != 9_000_000 {
 		t.Errorf("latency block did not survive: %+v", r.Latency)
 	}
@@ -115,8 +125,32 @@ func TestTailGoldenParsesFromDisk(t *testing.T) {
 	if r.Env == nil || r.Env.GoVersion != "go1.22.1" {
 		t.Errorf("env stamp did not survive: %+v", r.Env)
 	}
-	if m.Workloads[2].Latency != nil {
-		t.Errorf("legacy workload grew a latency block: %+v", m.Workloads[2].Latency)
+}
+
+// TestTailRefusesOtherJSON: -tail reads one report or one bundle summary. A
+// file of the multi-workload shape that older reports had, a space usage
+// snapshot and a bare array are refused with an error naming both accepted
+// shapes, instead of rendering an empty table.
+func TestTailRefusesOtherJSON(t *testing.T) {
+	space, err := os.ReadFile("testdata/space-n4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"workloads", []byte(`{"workloads": [{"algorithm": "bounded", "n": 4, "instances": 400}]}`)},
+		{"space-usage", space},
+		{"array", []byte(`[{"algorithm": "bounded"}]`)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := parseTail(c.data)
+			if err == nil || !strings.Contains(err.Error(), "consensus-load -json report") ||
+				!strings.Contains(err.Error(), "summary.json") {
+				t.Errorf("parseTail = %v, want an error naming both accepted shapes", err)
+			}
+		})
 	}
 }
 
@@ -150,9 +184,9 @@ func TestTailSummaryTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := consensus.ParseStragglerSummary(data)
-	if err != nil {
-		t.Fatal(err)
+	sum, _, err := parseTail(data)
+	if err != nil || sum == nil {
+		t.Fatalf("parseTail(%s) = %v, %v; want a bundle summary", b.SummaryPath, sum, err)
 	}
 	var buf bytes.Buffer
 	summaryTable(b.SummaryPath, sum).RenderAs(&buf, harness.FormatText)

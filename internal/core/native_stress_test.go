@@ -20,8 +20,8 @@ import (
 // lane; a deterministic livelock would fail every attempt.
 const stressAttempts = 3
 
-// nativeStressSizes is the stress grid: the polynomial protocols sweep the
-// bench-matrix sizes, the exponential baselines stay at n=4 (their expected
+// nativeStressSizes is the stress grid: the polynomial protocols sweep
+// n = 4, 8 and 16, the exponential baselines stay at n=4 (their expected
 // time is exponential in n and the preempted interleavings are genuinely
 // adversarial).
 func nativeStressSizes(kind Kind) []int {

@@ -155,8 +155,8 @@ func (h *Histogram) Buckets() []Bucket {
 }
 
 // HistSnapshot is an immutable summary of a histogram. The JSON field names
-// are the wire schema of benchmark reports (BENCH_batch.json "hists",
-// consensus-load -json; see DESIGN.md §10).
+// are the wire schema of the "hists" block of consensus-load -json reports
+// (see DESIGN.md §9).
 type HistSnapshot struct {
 	Count int64   `json:"count"`
 	Sum   int64   `json:"sum"`

@@ -258,10 +258,10 @@ func (u LayerUsage) Bits() int {
 }
 
 // Usage is an immutable point-in-time snapshot of a meter, the unit that
-// flows through Result.Space, batch aggregation, benchfmt reports and
-// traceview. Layers with nothing recorded are omitted; map keys are the
-// stable layer names, so encoded JSON is deterministic (encoding/json sorts
-// map keys).
+// flows through Result.Space, batch aggregation, consensus-load's reports
+// and workload goldens, and traceview. Layers with nothing recorded are
+// omitted; map keys are the stable layer names, so encoded JSON is
+// deterministic (encoding/json sorts map keys).
 type Usage struct {
 	// Layers holds the per-layer attribution, keyed by Layer.String().
 	Layers map[string]LayerUsage `json:"layers,omitempty"`

@@ -4,7 +4,7 @@
 //
 // Latency is the one observable the repo cannot make deterministic — wall
 // clocks jitter — so the package splits the concern: latency *values* are
-// summarized and gated statistically (benchdiff tail thresholds), while
+// only summarized (BENCHMARK.json bounds its own latency quantiles), while
 // straggler *identities* carry the seed and step count that make the instance
 // byte-reproducible, so forensics replay the deterministic part with full
 // instrumentation instead of trusting the noisy part.

@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,6 +23,14 @@ var everyAlgorithm = []Algorithm{Bounded, AspnesHerlihy, LocalCoin, StrongCoin, 
 // register operation, scan, coin flip and decision in order — byte-identical
 // to a plain run that writes JSONL too. Each row also checks that its
 // instrument observed the run.
+//
+// The batch arm runs each protocol's batch through SolveBatch at Parallel 1
+// and 4, plain and with each instrument on (the ring on the batch's sink).
+// Decisions, steps, errors, counters, gauges (an instrument may add its own
+// prof.* or space.* family) and every histogram but lat.solve match the
+// plain batch at the same Parallel. A metered batch observes lat.solve once
+// per instance and digests 3 stragglers, an unmetered one neither, and the
+// merged space usage is the same at both worker counts.
 func TestInstrumentsDoNotPerturb(t *testing.T) {
 	random := Schedule{Kind: RandomSchedule}
 	bases := []struct {
@@ -74,7 +84,87 @@ func TestInstrumentsDoNotPerturb(t *testing.T) {
 		}
 		return res
 	}
+	const batchInstances = 16
+	solveBatch := func(t *testing.T, base Config, parallel int) BatchResult {
+		t.Helper()
+		bc := BatchConfig{Instances: batchInstances, Seed: 9, Parallel: parallel, Base: base}
+		if base.Recorder != nil {
+			bc.Sink, bc.Base.Recorder = obs.NewSink(base.Recorder), nil
+		}
+		if base.Latency {
+			bc.Stragglers = 3
+		}
+		res, err := SolveBatch(bc)
+		if err != nil {
+			t.Fatalf("SolveBatch(parallel=%d): %v", parallel, err)
+		}
+		if len(res.Latencies) != batchInstances {
+			t.Errorf("parallel=%d: %d latencies, want one per instance", parallel, len(res.Latencies))
+		}
+		lat := res.Hists[obs.LatSolveKey].Count
+		if base.Latency && (lat != batchInstances || len(res.Stragglers) != 3) {
+			t.Errorf("parallel=%d: metered batch observed lat.solve %d times and digested %d stragglers, want %d and 3",
+				parallel, lat, len(res.Stragglers), batchInstances)
+		}
+		if !base.Latency && (lat != 0 || res.Stragglers != nil) {
+			t.Errorf("parallel=%d: unmetered batch observed lat.solve %d times or digested stragglers %v", parallel, lat, res.Stragglers)
+		}
+		if base.Space != (res.Space != nil) || res.Space != nil && res.Space.Empty() {
+			t.Errorf("parallel=%d: Space %v produced usage %+v", parallel, base.Space, res.Space)
+		}
+		return res
+	}
 	for _, alg := range everyAlgorithm {
+		t.Run(alg.String()+"/batch", func(t *testing.T) {
+			base := Config{Inputs: []int{0, 1, 1, 0}, Algorithm: alg, MaxSteps: 200_000_000}
+			serial := map[string]BatchResult{}
+			for _, parallel := range []int{1, 4} {
+				plain := solveBatch(t, base, parallel)
+				for _, in := range instruments {
+					t.Run(fmt.Sprintf("parallel=%d/%s", parallel, in.name), func(t *testing.T) {
+						cfg := base
+						in.on(&cfg)
+						res := solveBatch(t, cfg, parallel)
+						if !reflect.DeepEqual(res.Decisions, plain.Decisions) || !reflect.DeepEqual(res.Steps, plain.Steps) ||
+							res.ErrCount != plain.ErrCount {
+							t.Fatalf("%s changed the batch's decisions, steps or error count", in.name)
+						}
+						for _, m := range []struct {
+							kind        string
+							plain, with map[string]int64
+						}{{"counter", plain.Counters, res.Counters}, {"gauge", plain.Gauges, res.Gauges}} {
+							for k, v := range m.plain {
+								if m.with[k] != v {
+									t.Errorf("%s %s: %d plain, %d with %s", m.kind, k, v, m.with[k], in.name)
+								}
+							}
+							for k := range m.with {
+								own := cfg.Profile && strings.HasPrefix(k, "prof.") || cfg.Space && strings.HasPrefix(k, "space.")
+								if _, ok := m.plain[k]; !ok && !own {
+									t.Errorf("%s added %s %s", in.name, m.kind, k)
+								}
+							}
+						}
+						for k, h := range res.Hists {
+							if k != obs.LatSolveKey && !reflect.DeepEqual(h, plain.Hists[k]) {
+								t.Errorf("histogram %s differs with %s", k, in.name)
+							}
+						}
+						for k := range plain.Hists {
+							if _, ok := res.Hists[k]; !ok {
+								t.Errorf("%s dropped histogram %s", in.name, k)
+							}
+						}
+						if s, ok := serial[in.name]; !ok {
+							serial[in.name] = res
+						} else if !reflect.DeepEqual(res.Space, s.Space) {
+							t.Errorf("%s: merged space usage differs across worker counts:\nparallel=1: %+v\nparallel=%d: %+v",
+								in.name, s.Space, parallel, res.Space)
+						}
+					})
+				}
+			}
+		})
 		for _, base := range bases {
 			base.cfg.Algorithm = alg
 			t.Run(alg.String()+"/"+base.name, func(t *testing.T) {

@@ -4,8 +4,8 @@
 # Runs a metered batch with a straggler digest and replay (-stragglers 3
 # -straggler-replay), asserts the bench report carries the latency block, the
 # straggler digests and the environment stamp, that every forensic bundle is
-# complete and parses through traceview -tail, and that consensus-straggler's
-# blame table works. Exits nonzero on any missing surface.
+# complete and parses through traceview -tail, and that each replay line
+# carries its blame cell. Exits nonzero on any missing surface.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,7 +14,6 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
 go build -o "$TMP/consensus-load" ./cmd/consensus-load
-go build -o "$TMP/consensus-straggler" ./cmd/consensus-straggler
 go build -o "$TMP/traceview" ./cmd/traceview
 
 # 1. Metered batch with digest + replay: the report carries the tail blocks.
@@ -44,9 +43,11 @@ grep -q 'wall-clock latency per workload' "$TMP/tailview" &&
 	grep -q 'straggler digests' "$TMP/tailview" ||
 	{ echo "tail_smoke: traceview -tail output incomplete" >&2; cat "$TMP/tailview" >&2; exit 1; }
 
-# 4. The forensics driver replays and attributes in one shot.
-"$TMP/consensus-straggler" -instances 60 -stragglers 2 -seed 3 -dir "$TMP/forensics" >"$TMP/stragout"
-grep -q 'blame' "$TMP/stragout" && grep -q 'prod ' "$TMP/stragout" ||
-	{ echo "tail_smoke: consensus-straggler table incomplete" >&2; cat "$TMP/stragout" >&2; exit 1; }
+# 4. A text-mode run replays and attributes in one shot: each replay line
+# carries the straggler's blame cell.
+"$TMP/consensus-load" -instances 60 -stragglers 2 -seed 3 -straggler-replay \
+	-straggler-dir "$TMP/forensics" >/dev/null 2>"$TMP/stragout"
+[ "$(grep -c 'prod .* retry .* coin ' "$TMP/stragout")" -eq 2 ] ||
+	{ echo "tail_smoke: replay lines lack blame cells" >&2; cat "$TMP/stragout" >&2; exit 1; }
 
 echo "tail_smoke: ok (3 bundles replayed)"

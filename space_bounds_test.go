@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/dsrepro/consensus/internal/obs/space"
@@ -100,41 +99,5 @@ func TestUnboundedCoinGrowsWithTrials(t *testing.T) {
 	// test above); the unbounded baseline must blow through that same bound.
 	if bigMax <= 7 {
 		t.Errorf("unbounded coin max %d never exceeded the bounded protocol's tight M+1 = 7", bigMax)
-	}
-}
-
-// TestBatchSpaceDeterministic locks batch aggregation: the merged usage is an
-// element-wise max folded in instance order, so it must be identical at any
-// worker count.
-func TestBatchSpaceDeterministic(t *testing.T) {
-	for _, alg := range everyAlgorithm {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			run := func(parallel int) BatchResult {
-				res, err := SolveBatch(BatchConfig{
-					Instances: 24,
-					Seed:      9,
-					Parallel:  parallel,
-					Base: Config{
-						Inputs:    []int{0, 1, 1, 0},
-						Algorithm: alg,
-						MaxSteps:  200_000_000,
-						Space:     true,
-					},
-				})
-				if err != nil {
-					t.Fatalf("SolveBatch(parallel=%d): %v", parallel, err)
-				}
-				return res
-			}
-			serial := run(1)
-			fanned := run(4)
-			if serial.Space == nil || fanned.Space == nil {
-				t.Fatal("batch with Space: true produced no usage")
-			}
-			if !reflect.DeepEqual(*serial.Space, *fanned.Space) {
-				t.Errorf("batch usage differs across worker counts:\nserial: %+v\nfanned: %+v", *serial.Space, *fanned.Space)
-			}
-		})
 	}
 }

@@ -5,99 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/tail"
 )
-
-// TestBatchLatencyMeteringDoesNotPerturb is the batch-side acceptance
-// criterion: a latency-metered SolveBatch must be identical to an unmetered
-// one — decisions, steps, errors, and the merged metrics modulo the lat.*
-// histogram and the straggler digest — at Parallel 1 and 4, for every
-// protocol.
-func TestBatchLatencyMeteringDoesNotPerturb(t *testing.T) {
-	for _, alg := range everyAlgorithm {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			run := func(metered bool, parallel int) BatchResult {
-				res, err := SolveBatch(BatchConfig{
-					Instances: 16,
-					Seed:      9,
-					Parallel:  parallel,
-					Base: Config{
-						Inputs:    []int{0, 1, 1, 0},
-						Algorithm: alg,
-						MaxSteps:  200_000_000,
-						Latency:   metered,
-					},
-					Stragglers: boolToK(metered, 3),
-				})
-				if err != nil {
-					t.Fatalf("SolveBatch(latency=%v, parallel=%d): %v", metered, parallel, err)
-				}
-				return res
-			}
-			for _, parallel := range []int{1, 4} {
-				plain := run(false, parallel)
-				metered := run(true, parallel)
-				if !reflect.DeepEqual(plain.Decisions, metered.Decisions) {
-					t.Fatalf("parallel=%d: decisions diverged under latency metering", parallel)
-				}
-				if !reflect.DeepEqual(plain.Steps, metered.Steps) {
-					t.Fatalf("parallel=%d: step counts diverged under latency metering", parallel)
-				}
-				if plain.ErrCount != metered.ErrCount {
-					t.Fatalf("parallel=%d: error counts diverged: %d vs %d", parallel, plain.ErrCount, metered.ErrCount)
-				}
-				if !reflect.DeepEqual(plain.Counters, metered.Counters) {
-					t.Errorf("parallel=%d: counters diverged under latency metering:\nplain:   %v\nmetered: %v",
-						parallel, plain.Counters, metered.Counters)
-				}
-				if !reflect.DeepEqual(plain.Gauges, metered.Gauges) {
-					t.Errorf("parallel=%d: gauges diverged under latency metering", parallel)
-				}
-				// Histograms must agree modulo the one histogram latency
-				// metering is allowed to populate.
-				for key, ph := range plain.Hists {
-					if key == obs.LatSolveKey {
-						continue
-					}
-					if mh, ok := metered.Hists[key]; !ok || !reflect.DeepEqual(ph, mh) {
-						t.Errorf("parallel=%d: histogram %q diverged under latency metering", parallel, key)
-					}
-				}
-				if h, ok := metered.Hists[obs.LatSolveKey]; !ok || h.Count != 16 {
-					t.Errorf("parallel=%d: metered batch lat.solve count = %+v, want 16 observations", parallel, h)
-				}
-				if h, ok := plain.Hists[obs.LatSolveKey]; ok && h.Count != 0 {
-					t.Errorf("parallel=%d: unmetered batch observed lat.solve: %+v", parallel, h)
-				}
-				// Latencies are always measured (observation-only); only the
-				// registry entry and the digest are gated.
-				if len(plain.Latencies) != 16 || len(metered.Latencies) != 16 {
-					t.Errorf("parallel=%d: latency columns missing", parallel)
-				}
-				if plain.Stragglers != nil {
-					t.Errorf("parallel=%d: digest produced with Stragglers=0", parallel)
-				}
-				if len(metered.Stragglers) != 3 {
-					t.Errorf("parallel=%d: got %d stragglers, want 3", parallel, len(metered.Stragglers))
-				}
-			}
-		})
-	}
-}
-
-// boolToK returns k when on, else 0.
-func boolToK(on bool, k int) int {
-	if on {
-		return k
-	}
-	return 0
-}
 
 // TestStragglerReplayDeterministic is the forensics acceptance criterion: for
 // every protocol, replaying a straggler digest reproduces the original
